@@ -121,7 +121,7 @@ impl CostModel {
 mod tests {
     use super::*;
     use epiflow_epihiper::covid::covid19_model;
-    use epiflow_epihiper::{InterventionSet, SimConfig, Simulation};
+    use epiflow_epihiper::{InterventionSet, SimConfig, SimContext, Simulation};
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::{ActivityType, ContactNetwork};
 
@@ -144,14 +144,16 @@ mod tests {
             }
         }
         let net = ContactNetwork { n_nodes: n as usize, edges };
-        let mut sim = Simulation::new(
+        let cfg = SimConfig { ticks: 150, seed, initial_infections: 8, ..Default::default() };
+        let ctx = SimContext::build(
             &net,
-            covid19_model(),
             (0..n).map(|i| (i % 5) as u8).collect(),
             vec![0; n as usize],
-            InterventionSet::new(),
-            SimConfig { ticks: 150, seed, initial_infections: 8, ..Default::default() },
+            cfg.n_partitions,
+            cfg.epsilon,
         );
+        let mut sim =
+            Simulation::new_with_context(ctx.into(), covid19_model(), InterventionSet::new(), cfg);
         sim.model.transmissibility = 0.6;
         sim.run().output
     }
@@ -184,14 +186,10 @@ mod tests {
         let real = CostModel::default().evaluate(&epidemic_output(3));
         let n = 50;
         let net = ContactNetwork { n_nodes: n, edges: vec![] };
-        let mut sim = Simulation::new(
-            &net,
-            covid19_model(),
-            vec![2; n],
-            vec![0; n],
-            InterventionSet::new(),
-            SimConfig { ticks: 60, seed: 3, initial_infections: 1, ..Default::default() },
-        );
+        let cfg = SimConfig { ticks: 60, seed: 3, initial_infections: 1, ..Default::default() };
+        let ctx = SimContext::build(&net, vec![2; n], vec![0; n], cfg.n_partitions, cfg.epsilon);
+        let mut sim =
+            Simulation::new_with_context(ctx.into(), covid19_model(), InterventionSet::new(), cfg);
         let tiny = CostModel::default().evaluate(&sim.run().output);
         assert!(real.total() > tiny.total());
     }

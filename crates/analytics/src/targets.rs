@@ -81,7 +81,7 @@ impl ForecastTargets {
 mod tests {
     use super::*;
     use epiflow_epihiper::covid::covid19_model;
-    use epiflow_epihiper::{InterventionSet, SimConfig, Simulation};
+    use epiflow_epihiper::{InterventionSet, SimConfig, SimContext, Simulation};
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::{ActivityType, ContactNetwork};
 
@@ -104,15 +104,17 @@ mod tests {
             }
         }
         let net = ContactNetwork { n_nodes: n as usize, edges };
-        let mut sim = Simulation::new(
+        let cfg = SimConfig { ticks: 120, seed: 4, initial_infections: 6, ..Default::default() };
+        let ctx = SimContext::build(
             &net,
-            covid19_model(),
             // Mix of age groups so severity paths are exercised.
             (0..n).map(|i| (i % 5) as u8).collect(),
             (0..n).map(|i| (i % 3) as u16).collect(),
-            InterventionSet::new(),
-            SimConfig { ticks: 120, seed: 4, initial_infections: 6, ..Default::default() },
+            cfg.n_partitions,
+            cfg.epsilon,
         );
+        let mut sim =
+            Simulation::new_with_context(ctx.into(), covid19_model(), InterventionSet::new(), cfg);
         sim.model.transmissibility = 0.6;
         sim.run().output
     }

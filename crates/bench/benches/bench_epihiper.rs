@@ -41,17 +41,17 @@ fn bench_ticks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Frontier vs reference scan on the same region: the A/B pair behind
-/// `BENCH_engine.json` (see `repro_bench_engine` for the synthetic
-/// envelope cases).
+/// Frontier scan vs θ = 0 full sweep on the same region: the A/B pair
+/// behind `BENCH_engine.json` (see `repro_bench_engine` for the
+/// synthetic envelope cases).
 fn bench_scan_modes(c: &mut Criterion) {
     let reg = RegionRegistry::new();
     let data = region(&reg, "VA", 2000.0);
     let mut group = c.benchmark_group("epihiper_scan_mode");
     group.sample_size(10);
-    for (name, reference) in [("frontier", false), ("reference", true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &reference, |b, &r| {
-            b.iter(|| run_covid_mode(&data, InterventionSet::new(), 60, 4, 1, r));
+    for (name, full_sweep) in [("frontier", false), ("full_sweep", true)] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &full_sweep, |b, &f| {
+            b.iter(|| run_covid_mode(&data, InterventionSet::new(), 60, 4, 1, f));
         });
     }
     group.finish();

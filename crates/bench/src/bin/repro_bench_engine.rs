@@ -1,4 +1,5 @@
-//! Engine scan-mode benchmark — frontier vs reference, machine-readable.
+//! Engine scan-mode benchmark — the frontier scan at the default
+//! saturation threshold vs a θ = 0 full sweep, machine-readable.
 //!
 //! Runs the EpiHiper core on two synthetic networks that bracket the
 //! frontier scan's operating envelope and emits `BENCH_engine.json`:
@@ -6,23 +7,25 @@
 //! * **sparse** — a large ring-with-chords network where the epidemic
 //!   is a travelling wave, so the active frontier is a sliver of the
 //!   node set. This is the case the frontier scan exists for; the
-//!   acceptance target is a ≥3× speedup over the reference scan.
+//!   acceptance target is a ≥3× speedup over the full sweep.
 //! * **dense** — a heavily-seeded random graph with a long infectious
 //!   period, holding nearly every susceptible node on the frontier for
-//!   the whole run. This is the worst case for the frontier
-//!   bookkeeping; the acceptance target is ≤5% regression.
+//!   the whole run, so the default threshold itself switches most
+//!   partition-ticks to the full sweep. This is the worst case for the
+//!   frontier bookkeeping; the acceptance target is ≤5% regression.
 //!
-//! Both cases first run with transition recording on in both scan
-//! modes and assert the outputs are byte-identical (the engine's
-//! headline invariant), then time each mode over several repetitions
-//! and report nodes/s, edges/s, per-tick frontier occupancy, and the
-//! speedup. The JSON is validated by re-parsing before it is written.
+//! Both cases first run with transition recording on in both modes and
+//! assert the outputs are byte-identical (the engine's headline
+//! invariant), then time each mode over several repetitions and report
+//! node-ticks/s (nodes × ticks, not nodes visited), edges/s, per-tick
+//! frontier occupancy, and the speedup. The JSON is validated by
+//! re-parsing before it is written.
 //!
 //! `--smoke` shrinks both networks and skips the performance
 //! assertions so CI can verify the harness end-to-end in seconds.
 
 use epiflow_epihiper::disease::sir_model;
-use epiflow_epihiper::{InterventionSet, SimConfig, SimResult, Simulation};
+use epiflow_epihiper::{InterventionSet, SimConfig, SimContext, SimResult, Simulation};
 use epiflow_synthpop::network::ContactEdge;
 use epiflow_synthpop::{ActivityType, ContactNetwork};
 use serde::{Number, Value};
@@ -53,7 +56,7 @@ fn edge(u: u32, v: u32) -> ContactEdge {
 /// Ring of `n` nodes, each linked to its next 4 neighbors, plus a
 /// sprinkle of long-range chords (~0.5% of nodes). An epidemic seeded
 /// at a few points travels as a narrow wave: frontier occupancy stays
-/// tiny while the reference scan keeps paying for the whole ring.
+/// tiny while the full sweep keeps paying for the whole ring.
 fn sparse_ring(n: u32) -> ContactNetwork {
     let mut edges = Vec::with_capacity(n as usize * 4 + n as usize / 200);
     for u in 0..n {
@@ -74,7 +77,7 @@ fn sparse_ring(n: u32) -> ContactNetwork {
 
 /// Random graph with mean degree ~20. Combined with heavy seeding and
 /// a long infectious period this keeps the frontier near-full, so the
-/// frontier scan does all the reference work *plus* its bookkeeping.
+/// frontier scan does all the full sweep's work *plus* its bookkeeping.
 fn dense_random(n: u32) -> ContactNetwork {
     let mut st = 0xD15EA5E_u64;
     let mut edges = Vec::with_capacity(n as usize * 10);
@@ -98,31 +101,32 @@ struct Case {
     initial_infections: usize,
 }
 
-fn simulate(case: &Case, reference_scan: bool, record_transitions: bool) -> SimResult {
+/// One run on a context built for it (the build is outside the timed
+/// tick loop). `full_sweep` sets `saturation_threshold = 0`.
+fn simulate(case: &Case, full_sweep: bool, record_transitions: bool) -> SimResult {
     let n = case.net.n_nodes;
-    let mut sim = Simulation::new(
-        &case.net,
-        sir_model(case.beta, case.infectious_days),
-        vec![2; n],
-        vec![0; n],
-        InterventionSet::default(),
-        SimConfig {
-            ticks: case.ticks,
-            seed: 7,
-            n_partitions: 4,
-            epsilon: 16,
-            initial_infections: case.initial_infections,
-            record_transitions,
-            reference_scan,
-            ..Default::default()
+    let config = SimConfig {
+        ticks: case.ticks,
+        seed: 7,
+        n_partitions: 4,
+        epsilon: 16,
+        initial_infections: case.initial_infections,
+        record_transitions,
+        saturation_threshold: if full_sweep {
+            0.0
+        } else {
+            SimConfig::default().saturation_threshold
         },
-    );
-    sim.run()
+    };
+    let ctx =
+        SimContext::build(&case.net, vec![2; n], vec![0; n], config.n_partitions, config.epsilon);
+    let model = sir_model(case.beta, case.infectious_days);
+    Simulation::new_with_context(ctx.into(), model, InterventionSet::default(), config).run()
 }
 
 /// Best-of-`reps` wall time for both scan modes, interleaved so that
 /// machine-load noise lands on both modes alike. Returns
-/// `(frontier, reference)` with the telemetry of each mode's fastest
+/// `(frontier, full_sweep)` with the telemetry of each mode's fastest
 /// run.
 fn time_modes(case: &Case, reps: usize) -> (SimResult, SimResult) {
     let mut best_fr: Option<SimResult> = None;
@@ -145,7 +149,7 @@ fn mode_value(case: &Case, r: &SimResult) -> Value {
     let node_ticks = case.net.n_nodes as u64 * r.ticks_run as u64;
     Value::Map(vec![
         ("elapsed_secs".into(), Value::Num(Number::F(secs))),
-        ("nodes_per_sec".into(), Value::Num(Number::F(node_ticks as f64 / secs))),
+        ("node_ticks_per_sec".into(), Value::Num(Number::F(node_ticks as f64 / secs))),
         ("edges_scanned".into(), Value::Num(Number::U(r.stats.total_edges_scanned()))),
         (
             "edges_per_sec".into(),
@@ -166,22 +170,20 @@ fn run_case(case: &Case, reps: usize) -> (Value, f64, bool) {
     // Equivalence check: both modes with the full transition log.
     let fr_chk = simulate(case, false, true);
     let rf_chk = simulate(case, true, true);
-    let identical = fr_chk.output.transitions == rf_chk.output.transitions
-        && fr_chk.output.new_counts == rf_chk.output.new_counts
-        && fr_chk.output.current_counts == rf_chk.output.current_counts;
-    assert!(identical, "{}: frontier and reference outputs diverge", case.name);
+    let identical = fr_chk.output == rf_chk.output;
+    assert!(identical, "{}: frontier and full-sweep outputs diverge", case.name);
     println!(
         "  outputs identical across scan modes ({} transitions)",
         fr_chk.output.transitions.len()
     );
 
-    let (frontier, reference) = time_modes(case, reps);
-    let speedup = reference.elapsed.as_secs_f64() / frontier.elapsed.as_secs_f64().max(1e-9);
+    let (frontier, full_sweep) = time_modes(case, reps);
+    let speedup = full_sweep.elapsed.as_secs_f64() / frontier.elapsed.as_secs_f64().max(1e-9);
     let occupancy = frontier.stats.mean_frontier_occupancy(case.net.n_nodes);
     println!(
-        "  frontier {:.3}s  reference {:.3}s  speedup {:.2}x  mean occupancy {:.1}%",
+        "  frontier {:.3}s  full sweep {:.3}s  speedup {:.2}x  mean occupancy {:.1}%",
         frontier.elapsed.as_secs_f64(),
-        reference.elapsed.as_secs_f64(),
+        full_sweep.elapsed.as_secs_f64(),
         speedup,
         occupancy * 100.0
     );
@@ -200,7 +202,7 @@ fn run_case(case: &Case, reps: usize) -> (Value, f64, bool) {
         ("outputs_identical".into(), Value::Bool(identical)),
         ("total_infected".into(), Value::Num(Number::U(fr_chk.output.total_infections() as u64))),
         ("frontier".into(), mode_value(case, &frontier)),
-        ("reference".into(), mode_value(case, &reference)),
+        ("full_sweep".into(), mode_value(case, &full_sweep)),
         ("speedup".into(), Value::Num(Number::F(speedup))),
         ("mean_frontier_occupancy".into(), Value::Num(Number::F(occupancy))),
         ("frontier_occupancy_by_tick".into(), Value::Seq(occ_by_tick)),
@@ -212,7 +214,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (sparse_n, dense_n, reps) = if smoke { (2_000, 1_000, 1) } else { (120_000, 20_000, 5) };
 
-    println!("=== Engine scan-mode benchmark (frontier vs reference) ===");
+    println!("=== Engine scan-mode benchmark (frontier vs θ = 0 full sweep) ===");
     println!("mode: {}\n", if smoke { "smoke" } else { "full" });
 
     let sparse = Case {

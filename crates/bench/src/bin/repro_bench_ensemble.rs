@@ -21,10 +21,9 @@
 //! seconds.
 
 use epiflow_bench::region;
-use epiflow_core::runner::run_cell;
 use epiflow_core::{CellConfig, CellRunSummary, EnsembleRunner, StudyDesign};
 use epiflow_epihiper::covid::covid19_model;
-use epiflow_epihiper::{InterventionSet, SimConfig, Simulation};
+use epiflow_epihiper::{InterventionSet, SimConfig, SimContext, Simulation};
 use epiflow_surveillance::RegionRegistry;
 use rayon::prelude::*;
 use serde::{Number, Value};
@@ -33,36 +32,37 @@ use std::time::Instant;
 const N_PARTITIONS: usize = 4;
 const BASE_SEED: u64 = 0x2026_0807;
 
-/// Wall time of one fresh `Simulation::new` — the per-replicate setup
-/// cost the shared context amortizes away (CSR build + partitioning +
-/// attribute derivation, no tick loop).
+/// Wall time of one fresh context build plus simulation — the
+/// per-replicate setup cost the shared context amortizes away (CSR
+/// build + partitioning, no tick loop).
 fn fresh_setup_secs(data: &epiflow_synthpop::builder::RegionData, days: u32) -> f64 {
     let age: Vec<u8> =
         data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
     let county: Vec<u16> = data.population.persons.iter().map(|p| p.county).collect();
+    let config = SimConfig {
+        ticks: days,
+        n_partitions: N_PARTITIONS,
+        epsilon: 16,
+        record_transitions: false,
+        ..Default::default()
+    };
     let t0 = Instant::now();
-    let sim = Simulation::new(
-        &data.network,
+    let ctx = SimContext::build(&data.network, age, county, N_PARTITIONS, config.epsilon);
+    let sim = Simulation::new_with_context(
+        ctx.into(),
         covid19_model(),
-        age,
-        county,
         InterventionSet::default(),
-        SimConfig {
-            ticks: days,
-            n_partitions: N_PARTITIONS,
-            epsilon: 16,
-            record_transitions: false,
-            ..Default::default()
-        },
+        config,
     );
     let secs = t0.elapsed().as_secs_f64();
     drop(sim);
     secs
 }
 
-/// The pre-ensemble path: every ⟨cell, replicate⟩ job builds the
-/// network from scratch inside `run_cell`, fanned over rayon exactly
-/// like the shared path so the comparison isolates setup cost.
+/// The pre-ensemble path: every ⟨cell, replicate⟩ job builds its own
+/// runner (attributes, network, partitioning) from scratch, fanned over
+/// rayon exactly like the shared path so the comparison isolates setup
+/// cost.
 fn run_design_fresh(
     data: &epiflow_synthpop::builder::RegionData,
     design: &StudyDesign,
@@ -75,7 +75,14 @@ fn run_design_fresh(
         .flat_map(|(i, _)| (0..design.replicates).map(move |r| (i, r)))
         .collect();
     jobs.par_iter()
-        .map(|&(ci, rep)| run_cell(data, &design.cells[ci], rep, N_PARTITIONS, false, base_seed))
+        .map(|&(ci, rep)| {
+            EnsembleRunner::new(data, N_PARTITIONS).run_cell(
+                &design.cells[ci],
+                rep,
+                false,
+                base_seed,
+            )
+        })
         .collect()
 }
 

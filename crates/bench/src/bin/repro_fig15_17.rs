@@ -11,8 +11,7 @@
 
 use epiflow_bench::sparkline;
 use epiflow_calibrate::{GpmsaCalibration, GpmsaConfig, MetropolisConfig};
-use epiflow_core::runner::run_cell;
-use epiflow_core::{CalibrationWorkflow, CellConfig, PredictionWorkflow};
+use epiflow_core::{CalibrationWorkflow, CellConfig, EnsembleRunner, PredictionWorkflow};
 use epiflow_surveillance::{RegionRegistry, Scale};
 use epiflow_synthpop::{build_region, BuildConfig};
 
@@ -44,10 +43,12 @@ fn main() {
                                           // The observed curve: the replicate-mean of the hidden configuration,
                                           // standing in for the (smoothed) surveillance series.
     let truth_cell = CellConfig::from_theta(990, &truth, &base);
+    // One shared network context for every simulation below.
+    let runner = EnsembleRunner::new(&data, 4);
     let mut observed = vec![0.0f64; base.days as usize];
     let obs_reps = 5u32;
     for rep in 0..obs_reps {
-        let run = run_cell(&data, &truth_cell, rep, 4, false, 0x0B5);
+        let run = runner.run_cell(&truth_cell, rep, false, 0x0B5);
         for (o, l) in observed.iter_mut().zip(&run.log_cum_symptomatic) {
             *o += l / obs_reps as f64;
         }
@@ -70,7 +71,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let result = wf.run(&data, &observed);
+    let result = wf.run_with(&runner, &observed);
 
     // ---- Figure 15: prior vs posterior marginals ---------------------
     println!("Figure 15 — prior vs posterior design (100 configurations each)\n");
@@ -122,7 +123,7 @@ fn main() {
         seed: 0x9ED,
     };
     let configs: Vec<CellConfig> = result.posterior_configs.iter().take(20).cloned().collect();
-    let res = pred.run(&data, &configs);
+    let res = pred.run_with(&runner, &configs);
     println!("Figure 17 — VA cumulative case prediction, 8 weeks past day {}\n", base.days);
     println!("  median: {}", sparkline(&res.cumulative_band.median));
     println!("  day       cases: median [lo95, hi95]");
@@ -141,11 +142,9 @@ fn main() {
     );
     // Hold-out check: simulate the truth forward and see if it lands in
     // the band (a check the paper could only do retrospectively).
-    let forward = run_cell(
-        &data,
+    let forward = runner.run_cell(
         &CellConfig { days: base.days + 56, ..CellConfig::from_theta(991, &truth, &base) },
         3,
-        4,
         false,
         0x0B5,
     );

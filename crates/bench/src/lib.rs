@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md).
 
 use epiflow_epihiper::covid::covid19_model;
-use epiflow_epihiper::{InterventionSet, SimConfig, SimResult, Simulation};
+use epiflow_epihiper::{InterventionSet, SimConfig, SimContext, SimResult, Simulation};
 use epiflow_surveillance::{RegionRegistry, Scale};
 use epiflow_synthpop::builder::RegionData;
 use epiflow_synthpop::{build_region, BuildConfig};
@@ -32,37 +32,36 @@ pub fn run_covid(
     run_covid_mode(data, interventions, ticks, n_partitions, seed, false)
 }
 
-/// [`run_covid`] with an explicit scan-mode switch: `reference_scan =
-/// true` runs the pre-frontier full-range scan for A/B benchmarking.
+/// [`run_covid`] with an explicit scan-mode switch: `full_sweep = true`
+/// sets `saturation_threshold = 0`, so every tick scans every node (the
+/// frontier scan's A/B baseline).
 pub fn run_covid_mode(
     data: &RegionData,
     interventions: InterventionSet,
     ticks: u32,
     n_partitions: usize,
     seed: u64,
-    reference_scan: bool,
+    full_sweep: bool,
 ) -> SimResult {
     let n = data.population.len();
     let age: Vec<u8> =
         data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
     let county: Vec<u16> = data.population.persons.iter().map(|p| p.county).collect();
-    let mut sim = Simulation::new(
-        &data.network,
-        covid19_model(),
-        age,
-        county,
-        interventions,
-        SimConfig {
-            ticks,
-            seed,
-            n_partitions,
-            epsilon: 16,
-            initial_infections: (n / 400).max(5),
-            record_transitions: false,
-            reference_scan,
-            ..Default::default()
+    let config = SimConfig {
+        ticks,
+        seed,
+        n_partitions,
+        epsilon: 16,
+        initial_infections: (n / 400).max(5),
+        record_transitions: false,
+        saturation_threshold: if full_sweep {
+            0.0
+        } else {
+            SimConfig::default().saturation_threshold
         },
-    );
+    };
+    let ctx = SimContext::build(&data.network, age, county, n_partitions, config.epsilon);
+    let mut sim = Simulation::new_with_context(ctx.into(), covid19_model(), interventions, config);
     sim.model.transmissibility = 0.35;
     sim.run()
 }

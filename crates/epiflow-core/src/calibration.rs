@@ -127,7 +127,6 @@ impl CalibrationWorkflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_cell;
     use epiflow_calibrate::MetropolisConfig;
     use epiflow_surveillance::{RegionRegistry, Scale};
     use epiflow_synthpop::{build_region, BuildConfig};
@@ -154,7 +153,7 @@ mod tests {
         // Hidden truth.
         let truth = [0.30, 0.65, 0.5, 0.5];
         let truth_cell = CellConfig::from_theta(999, &truth, &base);
-        let observed = run_cell(&data, &truth_cell, 7, 2, false, 0xBEEF);
+        let observed = EnsembleRunner::new(&data, 2).run_cell(&truth_cell, 7, false, 0xBEEF);
 
         let wf = CalibrationWorkflow {
             n_prior_cells: 36,

@@ -154,24 +154,6 @@ impl CombinedWorkflow {
     pub fn run(&self, registry: &RegionRegistry, scale: Scale) -> CombinedReport {
         CombinedReport::from_engine(self.engine(registry, scale).run())
     }
-
-    /// Execute the *in-process* simulation leg of the nightly design
-    /// for one region: where [`CombinedWorkflow::run`] models *when*
-    /// the cells×replicates grid executes inside the batch window, this
-    /// actually runs that grid — against one shared
-    /// [`crate::runner::EnsembleRunner`] context, the same way the
-    /// remote cluster amortizes the network build across a night's
-    /// replicates. `n_partitions` maps to the per-job core count of the
-    /// workload spec.
-    pub fn run_design_in_process(
-        &self,
-        data: &epiflow_synthpop::builder::RegionData,
-        design: &crate::design::StudyDesign,
-        n_partitions: usize,
-        base_seed: u64,
-    ) -> Vec<crate::runner::CellRunSummary> {
-        crate::runner::EnsembleRunner::new(data, n_partitions).run_design(design, base_seed)
-    }
 }
 
 impl CombinedReport {

@@ -6,9 +6,9 @@
 //! [`SimContext`] per ⟨region, partition count⟩ — CSR network,
 //! partitioning, per-node attributes — and fanning the cells×replicates
 //! grid out over rayon with one pooled [`SimScratch`] per worker, so
-//! per-replicate cost is the tick loop and nothing else. The
-//! free-standing [`run_cell`] keeps the fresh-build path (one context
-//! per call); both paths are byte-identical for the same seeds.
+//! per-replicate cost is the tick loop and nothing else. A one-off run
+//! is the same call on a runner built for it; results depend only on
+//! the seeds, never on which runner or pooled scratch produced them.
 
 use crate::design::{CellConfig, ExtraIntervention, StudyDesign};
 use epiflow_epihiper::covid::{covid19_model, states};
@@ -129,8 +129,7 @@ fn derive_attributes(data: &RegionData) -> (Vec<u8>, Vec<u16>) {
     (age_group, county)
 }
 
-/// The per-replicate [`SimConfig`], shared by the fresh-build and
-/// shared-context paths so their seeds and knobs can never drift.
+/// The per-replicate [`SimConfig`].
 fn cell_sim_config(
     cell: &CellConfig,
     seed: u64,
@@ -181,35 +180,6 @@ fn summarize(
     }
 }
 
-/// Run one ⟨cell, region, replicate⟩ simulation, building the network
-/// from scratch — the reference path. Ensemble traffic should go
-/// through [`EnsembleRunner`], which amortizes the network build across
-/// replicates and produces byte-identical results.
-pub fn run_cell(
-    data: &RegionData,
-    cell: &CellConfig,
-    replicate: u32,
-    n_partitions: usize,
-    record_transitions: bool,
-    base_seed: u64,
-) -> CellRunSummary {
-    let model = configure_model(cell);
-    let interventions = configure_interventions(cell);
-    let (age_group, county) = derive_attributes(data);
-
-    let seed = replicate_seed(base_seed, data.region, cell.cell, replicate);
-    let mut sim = Simulation::new(
-        &data.network,
-        model,
-        age_group,
-        county,
-        interventions,
-        cell_sim_config(cell, seed, n_partitions, record_transitions),
-    );
-    let result = sim.run();
-    summarize(data.region, cell, replicate, result)
-}
-
 /// Executes the simulations of one region's nightly design against a
 /// single shared immutable [`SimContext`].
 ///
@@ -218,9 +188,9 @@ pub fn run_cell(
 /// after that only allocates the per-replicate mutable state, and
 /// [`EnsembleRunner::run_design`] additionally pools one [`SimScratch`]
 /// per rayon worker so steady-state replicates reuse event buffers and
-/// output rows across runs. All of it is byte-identical to the
-/// fresh-build [`run_cell`] for the same seeds — the context and the
-/// scratch carry no state that can influence results.
+/// output rows across runs. All of it is byte-identical to a run on a
+/// runner built just for it — the context and the scratch carry no
+/// state that can influence results.
 pub struct EnsembleRunner {
     region: RegionId,
     n_partitions: usize,
@@ -314,17 +284,6 @@ impl EnsembleRunner {
     }
 }
 
-/// Run a full design on one region, parallel over ⟨cell, replicate⟩ —
-/// one shared context for the whole grid.
-pub fn run_design(
-    data: &RegionData,
-    design: &StudyDesign,
-    n_partitions: usize,
-    base_seed: u64,
-) -> Vec<CellRunSummary> {
-    EnsembleRunner::new(data, n_partitions).run_design(design, base_seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +319,23 @@ mod tests {
         assert_eq!(set.names(), vec!["VHI", "SC", "SH", "RO", "D2CT"]);
     }
 
+    /// A one-off run: a runner built for this call alone.
+    fn run_fresh(
+        data: &RegionData,
+        cell: &CellConfig,
+        replicate: u32,
+        n_partitions: usize,
+        record_transitions: bool,
+        base_seed: u64,
+    ) -> CellRunSummary {
+        EnsembleRunner::new(data, n_partitions).run_cell(
+            cell,
+            replicate,
+            record_transitions,
+            base_seed,
+        )
+    }
+
     #[test]
     fn run_cell_produces_epidemic_and_observables() {
         let data = small_region();
@@ -371,7 +347,7 @@ mod tests {
             initial_infections: 8,
             ..Default::default()
         };
-        let s = run_cell(&data, &cell, 0, 2, true, 7);
+        let s = run_fresh(&data, &cell, 0, 2, true, 7);
         assert_eq!(s.log_cum_symptomatic.len(), 80);
         // Monotone log-cumulative.
         assert!(s.log_cum_symptomatic.windows(2).all(|w| w[1] >= w[0]));
@@ -387,9 +363,10 @@ mod tests {
     fn replicates_differ_cells_reproducible() {
         let data = small_region();
         let cell = CellConfig { days: 60, ..Default::default() };
-        let a = run_cell(&data, &cell, 0, 2, false, 11);
-        let a2 = run_cell(&data, &cell, 0, 2, false, 11);
-        let b = run_cell(&data, &cell, 1, 2, false, 11);
+        let runner = EnsembleRunner::new(&data, 2);
+        let a = runner.run_cell(&cell, 0, false, 11);
+        let a2 = runner.run_cell(&cell, 0, false, 11);
+        let b = runner.run_cell(&cell, 1, false, 11);
         assert_eq!(a.log_cum_symptomatic, a2.log_cum_symptomatic);
         assert_ne!(a.log_cum_symptomatic, b.log_cum_symptomatic);
     }
@@ -405,8 +382,9 @@ mod tests {
             ..Default::default()
         };
         let hi = CellConfig { transmissibility: 0.4, ..lo.clone() };
-        let a = run_cell(&data, &lo, 0, 2, false, 5);
-        let b = run_cell(&data, &hi, 0, 2, false, 5);
+        let runner = EnsembleRunner::new(&data, 2);
+        let a = runner.run_cell(&lo, 0, false, 5);
+        let b = runner.run_cell(&hi, 0, false, 5);
         assert!(
             b.log_cum_symptomatic.last().unwrap() > a.log_cum_symptomatic.last().unwrap(),
             "hi tau {:?} vs lo tau {:?}",
@@ -425,7 +403,7 @@ mod tests {
             ],
             replicates: 3,
         };
-        let runs = run_design(&data, &design, 2, 1);
+        let runs = EnsembleRunner::new(&data, 2).run_design(&design, 1);
         assert_eq!(runs.len(), 6);
         // Every (cell, replicate) pair present.
         for c in 0..2u32 {
@@ -437,7 +415,7 @@ mod tests {
 
     /// The headline ensemble invariant at the workflow layer: a shared
     /// context (with pooled scratch carried across replicates) produces
-    /// byte-identical output to the fresh-build path on every
+    /// byte-identical output to a fresh build per job on every
     /// ⟨cell, replicate⟩ — aggregates *and* transition logs.
     #[test]
     fn ensemble_runner_byte_identical_to_fresh_build() {
@@ -451,7 +429,7 @@ mod tests {
             let mut scratch = epiflow_epihiper::SimScratch::new();
             for cell in &cells {
                 for rep in 0..2u32 {
-                    let fresh = run_cell(&data, cell, rep, parts, true, 11);
+                    let fresh = run_fresh(&data, cell, rep, parts, true, 11);
                     let shared = runner.run_cell_pooled(cell, rep, true, 11, &mut scratch);
                     assert_eq!(
                         shared.output, fresh.output,
@@ -465,8 +443,8 @@ mod tests {
         }
     }
 
-    /// run_design (now a thin wrapper over the ensemble runner) keeps
-    /// the exact pre-refactor per-job outputs.
+    /// run_design (parallel, pooled scratch) reproduces a fresh build
+    /// per job.
     #[test]
     fn run_design_matches_per_job_fresh_builds() {
         let data = small_region();
@@ -477,11 +455,11 @@ mod tests {
             ],
             replicates: 2,
         };
-        let runs = run_design(&data, &design, 2, 7);
+        let runs = EnsembleRunner::new(&data, 2).run_design(&design, 7);
         assert_eq!(runs.len(), 4);
         for s in &runs {
             let cell = &design.cells[s.cell as usize];
-            let fresh = run_cell(&data, cell, s.replicate, 2, false, 7);
+            let fresh = run_fresh(&data, cell, s.replicate, 2, false, 7);
             assert_eq!(s.output, fresh.output, "cell {} rep {}", s.cell, s.replicate);
         }
     }

@@ -369,7 +369,8 @@ impl SnapshotChain {
 mod tests {
     use super::*;
     use crate::disease::sir_model;
-    use crate::engine::{SimConfig, Simulation};
+    use crate::engine::testkit::fresh_sim;
+    use crate::engine::SimConfig;
     use crate::interventions::InterventionSet;
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::{ActivityType, ContactNetwork};
@@ -394,11 +395,9 @@ mod tests {
 
     fn snapshot_after(ticks: u32) -> SimSnapshot {
         let net = small_net(20);
-        let mut sim = Simulation::new(
+        let mut sim = fresh_sim(
             &net,
             sir_model(1.5, 5.0),
-            vec![2; 20],
-            vec![0; 20],
             InterventionSet::default(),
             SimConfig { ticks, seed: 11, initial_infections: 3, ..Default::default() },
         );

@@ -16,16 +16,18 @@
 //!    updating health states, counters, the transition log, the
 //!    frontier index, and the memory accounting.
 //!
-//! The default scan is **frontier-based**: per-tick cost is
-//! proportional to the active frontier (nodes with at least one
-//! infectious-capable in-neighbor, tracked by [`ActiveSet`]) plus due
-//! progressions (tracked by [`TickBuckets`]), not to the network size.
-//! A node outside the frontier has every transmission-LUT lookup
-//! `None`, so its λ accumulates to exactly 0.0 and the reference scan
-//! would skip it *before constructing its RNG* — skipping it outright
-//! therefore changes nothing. The pre-existing full-range scan is kept
-//! verbatim behind [`SimConfig::reference_scan`] for A/B verification;
-//! both produce byte-identical transition logs.
+//! The scan is **frontier-based**: per-tick cost is proportional to the
+//! active frontier (nodes with at least one infectious-capable
+//! in-neighbor, tracked by [`ActiveSet`]) plus due progressions
+//! (tracked by [`TickBuckets`]), not to the network size. A node
+//! outside the frontier has every transmission-LUT lookup `None`, so
+//! its λ accumulates to exactly 0.0 and a full sweep would skip it
+//! *before constructing its RNG* — skipping it outright therefore
+//! changes nothing. A partition whose frontier occupancy reaches
+//! [`SimConfig::saturation_threshold`] sweeps its whole range instead,
+//! through the same two per-node bodies. The test build keeps the
+//! original two-pass full-range scan as an independent oracle, and the
+//! tests prove both paths byte-identical to it.
 //!
 //! Randomness is *counter-based*: each (node, tick) pair gets its own
 //! splitmix64 stream derived from the replicate seed, so results are
@@ -47,6 +49,9 @@ use rand::{Rng, RngCore};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+#[cfg(test)]
+pub(crate) mod testkit;
 
 /// Counter-based RNG: a splitmix64 stream keyed by (seed, node, tick).
 ///
@@ -219,10 +224,11 @@ impl RuntimeNet {
 /// workspace layout, the bucket routing, and the per-partition
 /// saturation decision. A context is therefore only valid for configs
 /// requesting the same partitioning; [`Simulation::new_with_context`]
-/// asserts this rather than silently diverging from the fresh-build
-/// path. (Results would still be *epidemiologically* identical either
-/// way — the RNG is counter-based — but telemetry like `edges_scanned`
-/// would not be byte-identical, and byte-identity is the invariant.)
+/// asserts this rather than silently diverging from a context built for
+/// the config. (Results would still be *epidemiologically* identical
+/// either way — the RNG is counter-based — but telemetry like
+/// `edges_scanned` would not be byte-identical, and byte-identity is
+/// the invariant.)
 #[derive(Debug)]
 pub struct SimContext {
     /// CSR runtime network (in-edge arrays incl. precomputed `tw`).
@@ -289,20 +295,17 @@ pub struct SimConfig {
     /// Keep the full transition log (disable for large sweeps where
     /// only aggregates are needed).
     pub record_transitions: bool,
-    /// Use the pre-frontier full-range scan (O(nodes + edges) per tick)
-    /// instead of the frontier scan. Exists for A/B verification and
-    /// benchmarking; both modes produce byte-identical output.
-    pub reference_scan: bool,
     /// Frontier occupancy fraction above which a partition abandons the
-    /// bitset merge for the plain full-range sweep that tick: iterating
-    /// a near-full bitset plus the due-list merge and the single-pass
-    /// stash cost a few ns per node over the reference's bare range
-    /// loop, while sweeping the few off-frontier nodes costs only their
-    /// λ ≡ 0 edge walks. Measured crossover on a mean-degree-20 network
-    /// sits near 3/4 occupancy (direction-optimizing-BFS style switch),
-    /// hence the 0.75 default. `0.0` degenerates every tick to the
-    /// reference sweep; values above 1.0 never switch. Both scans emit
-    /// identical events, so this knob only moves cost, never results.
+    /// bitset merge for a plain full-range sweep that tick: iterating a
+    /// near-full bitset plus the due-list merge costs a few ns per node
+    /// over a bare range loop, while sweeping the few off-frontier
+    /// nodes costs only their λ ≡ 0 edge walks. Measured crossover on a
+    /// mean-degree-20 network sits near 3/4 occupancy
+    /// (direction-optimizing-BFS style switch), hence the 0.75 default.
+    /// `0.0` makes every tick a full sweep (O(nodes + edges), the A/B
+    /// baseline for benchmarks); values above 1.0 never switch. Both
+    /// paths emit identical events, so this knob only moves cost, never
+    /// results.
     pub saturation_threshold: f64,
 }
 
@@ -315,7 +318,6 @@ impl Default for SimConfig {
             epsilon: 16,
             initial_infections: 5,
             record_transitions: true,
-            reference_scan: false,
             saturation_threshold: 0.75,
         }
     }
@@ -340,8 +342,8 @@ pub struct EngineStats {
     /// Scheduled progressions due this tick (bucket drains).
     pub due_nodes: Vec<u32>,
     /// In-edges examined by the λ-accumulation pass. This is the
-    /// quantity the frontier scan shrinks: the reference scan pays it
-    /// for every susceptible node, the frontier scan only for frontier
+    /// quantity the frontier scan shrinks: a full sweep pays it for
+    /// every susceptible node, the frontier merge only for frontier
     /// members.
     pub edges_scanned: Vec<u64>,
     /// State-transition events applied.
@@ -478,41 +480,25 @@ pub struct Simulation {
     seen_health_epoch: u64,
     /// First tick the next [`Simulation::run`] call executes: 0 for a
     /// fresh simulation, `config.ticks` after a completed run, the
-    /// snapshot's `next_tick` after [`Simulation::resume`].
+    /// snapshot's `next_tick` after [`Simulation::resume_with_context`].
     start_tick: u32,
     /// Continuation state from the previous `run` call (or the
     /// snapshot), `None` until the first run.
     carry: Option<RunCarry>,
+    /// Test-only selector: route every partition scan to the two-pass
+    /// oracle (see the `testkit` module).
+    #[cfg(test)]
+    oracle_scan: bool,
 }
 
 impl Simulation {
-    /// Build a simulation. `age_group` and `county` must have one entry
-    /// per node; pass `vec![2; n]` / `vec![0; n]` when demographics are
-    /// not needed.
-    pub fn new(
-        network: &ContactNetwork,
-        model: DiseaseModel,
-        age_group: Vec<u8>,
-        county: Vec<u16>,
-        interventions: InterventionSet,
-        config: SimConfig,
-    ) -> Self {
-        let ctx = Arc::new(SimContext::build(
-            network,
-            age_group,
-            county,
-            config.n_partitions,
-            config.epsilon,
-        ));
-        Self::new_with_context(ctx, model, interventions, config)
-    }
-
     /// Build a simulation against a pre-built shared [`SimContext`],
     /// skipping all network construction: no CSR build, no
     /// partitioning, no attribute derivation — only the O(V) mutable
-    /// state and the O(states²) transmission LUT. This is the ensemble
-    /// fast path; with a fixed seed it produces byte-identical results
-    /// to [`Simulation::new`] on the same inputs.
+    /// state and the O(states²) transmission LUT. A one-off run builds
+    /// its own context (`Arc::new(SimContext::build(..))`); an ensemble
+    /// builds one and shares it across every replicate. With a fixed
+    /// seed, results do not depend on which context instance is used.
     ///
     /// Panics if `config` requests a different partitioning than `ctx`
     /// was built with (see [`SimContext`]).
@@ -562,6 +548,8 @@ impl Simulation {
             seen_health_epoch: 0,
             start_tick: 0,
             carry: None,
+            #[cfg(test)]
+            oracle_scan: false,
         };
         sim.rebuild_frontier();
         sim
@@ -729,113 +717,8 @@ impl Simulation {
         output.seeded = seeded as u32;
     }
 
-    /// The pre-frontier scan: walk every node of the partition,
-    /// re-deriving due progressions from `exit_tick` and λ from a full
-    /// in-edge pass (plus a second pass for the Gillespie pick). Kept
-    /// verbatim as the A/B baseline behind [`SimConfig::reference_scan`].
-    fn scan_partition_reference(&self, ws: &mut Workspace, t: u32) {
-        let ns = self.model.n_states();
-        let tau = self.model.transmissibility;
-        let range = ws.range.clone();
-
-        for v in range {
-            let vi = v as usize;
-            // Scheduled progression fires this tick.
-            if self.state.exit_tick[vi] == t {
-                let to = self.state.next_state[vi];
-                let mut rng = CounterRng::new(self.config.seed, v, t);
-                let (exit, next) =
-                    Self::schedule(&self.model, to, self.ctx.age_group[vi] as usize, t, &mut rng);
-                ws.events.push(Event {
-                    node: v,
-                    new_state: to,
-                    cause: None,
-                    exit_tick: exit,
-                    next_state: next,
-                });
-                continue;
-            }
-            // Transmission scan for susceptible nodes.
-            let hv = self.state.health[vi];
-            let sigma = self.model.states[hv as usize].susceptibility
-                * self.state.susceptibility_scale[vi] as f64;
-            if sigma <= 0.0 {
-                continue;
-            }
-            let lut_row = &self.trans_lut[hv as usize * ns..(hv as usize + 1) * ns];
-            let mut lambda = 0.0f64;
-            ws.edges_scanned += self.ctx.net.in_edges(v).len() as u64;
-            for e in self.ctx.net.in_edges(v) {
-                let u = e.neighbor as usize;
-                let hu = self.state.health[u];
-                let Some((_, omega)) = lut_row[hu as usize] else { continue };
-                if !self.state.edge_active(e.edge_id, v, e.neighbor, e.ctx_self, e.ctx_nbr, t) {
-                    continue;
-                }
-                let iota = self.model.states[hu as usize].infectivity
-                    * self.state.infectivity_scale[u] as f64;
-                // Eq. (1): ρ = T · w_e · σ(Ps)·ι(Pi) · ω, scaled by τ.
-                lambda += e.tw * sigma * iota * omega * tau;
-            }
-            if lambda <= 0.0 {
-                continue;
-            }
-            let mut rng = CounterRng::new(self.config.seed, v, t);
-            let p_infect = 1.0 - (-lambda).exp();
-            if !rng.random_bool(p_infect) {
-                continue;
-            }
-            // Gillespie: the causing contact is chosen ∝ its propensity.
-            let mut pick = rng.random_range(0.0..lambda);
-            let mut cause = None;
-            let mut to_state = self.model.initial_infected_state;
-            for e in self.ctx.net.in_edges(v) {
-                let u = e.neighbor as usize;
-                let hu = self.state.health[u];
-                let Some((to, omega)) = lut_row[hu as usize] else { continue };
-                if !self.state.edge_active(e.edge_id, v, e.neighbor, e.ctx_self, e.ctx_nbr, t) {
-                    continue;
-                }
-                let iota = self.model.states[hu as usize].infectivity
-                    * self.state.infectivity_scale[u] as f64;
-                let rho = e.tw * sigma * iota * omega * tau;
-                pick -= rho;
-                if pick <= 0.0 {
-                    cause = Some(e.neighbor);
-                    to_state = to;
-                    break;
-                }
-            }
-            if cause.is_none() {
-                // Floating-point remainder: attribute to the last active
-                // infectious contact (rescan not worth the cost).
-                for e in self.ctx.net.in_edges(v).iter().rev() {
-                    let hu = self.state.health[e.neighbor as usize];
-                    if lut_row[hu as usize].is_some()
-                        && self
-                            .state
-                            .edge_active(e.edge_id, v, e.neighbor, e.ctx_self, e.ctx_nbr, t)
-                    {
-                        cause = Some(e.neighbor);
-                        to_state = lut_row[hu as usize].expect("checked").0;
-                        break;
-                    }
-                }
-            }
-            let (exit, next) =
-                Self::schedule(&self.model, to_state, self.ctx.age_group[vi] as usize, t, &mut rng);
-            ws.events.push(Event {
-                node: v,
-                new_state: to_state,
-                cause,
-                exit_tick: exit,
-                next_state: next,
-            });
-        }
-    }
-
-    /// The scheduled-progression branch, shared by both frontier paths
-    /// (body identical to the reference scan's).
+    /// The scheduled-progression branch, shared by the frontier merge
+    /// and the saturated sweep.
     #[inline]
     fn progress_node(&self, v: u32, t: u32, events: &mut Vec<Event>) {
         let vi = v as usize;
@@ -856,10 +739,11 @@ impl Simulation {
     /// λ pass that stashes each qualifying edge's `(ρ, neighbor, to)`
     /// in scratch as it accumulates, so the cause pick replays scratch
     /// without ever rescanning the in-edge list. Scratch holds the same
-    /// ρ sequence the reference second pass recomputes (including ρ = 0
-    /// entries), and its last element is the reference fallback's
-    /// reverse-scan hit — so the emitted event is byte-identical to the
-    /// reference transmission branch.
+    /// ρ sequence a second in-edge pass would recompute (including
+    /// ρ = 0 entries), and its last element is what a reverse scan for
+    /// the last qualifying contact finds — so the emitted event is
+    /// byte-identical to the classic two-pass Gillespie (the test-only
+    /// oracle).
     #[inline]
     fn transmit_node(
         &self,
@@ -914,8 +798,7 @@ impl Simulation {
                 break;
             }
         }
-        // Floating-point remainder: the last qualifying contact (what
-        // the reference fallback's reverse scan finds).
+        // Floating-point remainder: the last qualifying contact.
         let (cause_nbr, to_state) = chosen.unwrap_or_else(|| {
             let &(_, nbr, to) = scratch.last().expect("λ > 0 implies a qualifying edge");
             (nbr, to)
@@ -931,43 +814,56 @@ impl Simulation {
         });
     }
 
+    /// One partition's scan for tick `t`. Production builds always run
+    /// the frontier scan; the test build can route it to the oracle.
+    fn scan_partition(&self, ws: &mut Workspace, t: u32) {
+        #[cfg(test)]
+        if self.oracle_scan {
+            return self.scan_partition_oracle(ws, t);
+        }
+        self.scan_partition_frontier(ws, t);
+    }
+
     /// The frontier scan: a two-pointer merge of the partition's due
     /// progressions (sorted bucket drain) and its slice of the active
     /// set, visited in ascending node order so events come out in
-    /// exactly the order the reference full-range sweep produces them.
+    /// exactly the order a full-range sweep produces them.
     ///
-    /// Equivalence to the reference scan, node by node:
+    /// Equivalence to a full-range sweep, node by node:
     /// * due ∧ `exit_tick == t` — the progression branch, identical.
     /// * due ∧ `exit_tick != t` ∧ ¬active — a stale bucket entry for a
     ///   node with no via-state in-neighbors: every LUT lookup is
-    ///   `None`, λ ≡ 0.0 exactly, and the reference scan falls through
-    ///   before constructing the node's RNG. Skipped.
+    ///   `None`, λ ≡ 0.0 exactly, and the sweep falls through before
+    ///   constructing the node's RNG. Skipped.
     /// * active — the transmission branch ([`Self::transmit_node`]).
-    /// * neither — λ ≡ 0.0 as above; the reference scan's only effect
-    ///   would be the `exit_tick`/σ checks. Skipped.
+    /// * neither — λ ≡ 0.0 as above; the sweep's only effect would be
+    ///   the `exit_tick`/σ checks. Skipped.
     ///
     /// When the partition's frontier occupancy reaches
     /// [`SimConfig::saturation_threshold`] (default 0.75), the merge is
-    /// abandoned for this tick and the partition runs
-    /// [`Self::scan_partition_reference`] instead — the two scans emit
-    /// identical events (the engine's headline invariant), so at
-    /// saturation the frontier engine degenerates to the reference scan
-    /// with zero overhead by construction rather than paying bitset
-    /// iteration and stash writes for every node.
+    /// abandoned for this tick and the partition sweeps its whole range
+    /// through the same two per-node bodies, rather than paying bitset
+    /// iteration for nearly every node.
     fn scan_partition_frontier(&self, ws: &mut Workspace, t: u32) {
         let span = (ws.range.end - ws.range.start) as usize;
         let occupied = self.active.count_range(ws.range.start, ws.range.end);
+        let Workspace { range, due, events, scratch, edges_scanned, .. } = ws;
         // `occupied >= span * θ` in f64 is exact at the default θ = 3/4
         // for any realistic span, so this reproduces the historical
         // integer `occupied·4 ≥ span·3` switch bit for bit.
         if occupied as f64 >= span as f64 * self.config.saturation_threshold {
-            // Saturated partition: the full sweep finds every due
-            // progression via its own `exit_tick` check, so the drained
-            // due list is not consulted.
-            self.scan_partition_reference(ws, t);
+            // Saturated partition: every node's own `exit_tick` finds
+            // its due progression, so the drained due list is not
+            // consulted.
+            for v in range.clone() {
+                if self.state.exit_tick[v as usize] == t {
+                    self.progress_node(v, t, events);
+                } else {
+                    self.transmit_node(v, t, scratch, events, edges_scanned);
+                }
+            }
             return;
         }
-        let Workspace { range, due, events, scratch, edges_scanned, .. } = ws;
 
         let mut di = 0usize;
         let mut act = self.active.iter_range(range.start, range.end);
@@ -1076,8 +972,7 @@ impl Simulation {
                 self.interventions.apply(&mut ctx);
             }
             // External health writes invalidate the frontier index and
-            // the occupancy counters; rebuild both (in either scan
-            // mode, so outputs stay identical).
+            // the occupancy counters; rebuild both.
             if self.state.health_epoch() != self.seen_health_epoch {
                 self.rebuild_frontier();
                 occupancy.fill(0);
@@ -1095,14 +990,7 @@ impl Simulation {
             }
             stats.frontier_nodes.push(self.active.len() as u32);
             stats.due_nodes.push(wss.iter().map(|w| w.due.len() as u32).sum());
-            let reference = self.config.reference_scan;
-            wss.par_iter_mut().for_each(|ws| {
-                if reference {
-                    self.scan_partition_reference(ws, t);
-                } else {
-                    self.scan_partition_frontier(ws, t);
-                }
-            });
+            wss.par_iter_mut().for_each(|ws| self.scan_partition(ws, t));
             stats.edges_scanned.push(wss.iter().map(|w| w.edges_scanned).sum());
 
             // 3. Serial apply, in node order (ranges are sorted).
@@ -1186,7 +1074,8 @@ impl Simulation {
     /// position" reduces to the tick the resume starts at.
     ///
     /// Interrupt protocol: run with `config.ticks = k`, snapshot, then
-    /// [`Simulation::resume`] with `config.ticks = T` continues k..T.
+    /// [`Simulation::resume_with_context`] with `config.ticks = T`
+    /// continues k..T.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             meta: SnapshotMeta {
@@ -1204,39 +1093,18 @@ impl Simulation {
         }
     }
 
-    /// Rebuild a simulation from a snapshot. The caller supplies the
-    /// same network, model, demographics, and intervention stack the
-    /// snapshot was taken with (snapshots index into them; they are
-    /// static inputs, not state) — plus the config for the continued
-    /// run, which may change `ticks`, `n_partitions`, and
-    /// `reference_scan` freely without perturbing the epidemic.
-    /// Mismatches that would silently corrupt the resume (different
-    /// seed, node count, state count, edge count, or intervention
-    /// stack) are rejected with [`SnapshotError::Mismatch`].
-    pub fn resume(
-        network: &ContactNetwork,
-        model: DiseaseModel,
-        age_group: Vec<u8>,
-        county: Vec<u16>,
-        interventions: InterventionSet,
-        config: SimConfig,
-        snapshot: &SimSnapshot,
-    ) -> Result<Self, SnapshotError> {
-        let ctx = Arc::new(SimContext::build(
-            network,
-            age_group,
-            county,
-            config.n_partitions,
-            config.epsilon,
-        ));
-        Self::resume_with_context(ctx, model, interventions, config, snapshot)
-    }
-
-    /// [`Simulation::resume`] against a pre-built shared [`SimContext`]
-    /// — the ensemble fast path for restarts: a preempted replicate
-    /// resumes without rebuilding the network the rest of the ensemble
-    /// is already sharing. Same validation, same byte-identical
-    /// continuation.
+    /// Rebuild a simulation from a snapshot, against a [`SimContext`]
+    /// built from the same network and demographics the snapshot was
+    /// taken with — a preempted replicate resumes on the context the
+    /// rest of its ensemble already shares. The caller also supplies
+    /// the same model and intervention stack (snapshots index into
+    /// them; they are static inputs, not state), plus the config for
+    /// the continued run, which may change `ticks`, `n_partitions` (with
+    /// a context built for it) and `saturation_threshold` freely without
+    /// perturbing the epidemic. Mismatches that would silently corrupt
+    /// the resume (different seed, node count, state count, edge count,
+    /// or intervention stack) are rejected with
+    /// [`SnapshotError::Mismatch`].
     pub fn resume_with_context(
         ctx: Arc<SimContext>,
         model: DiseaseModel,
@@ -1306,6 +1174,7 @@ impl Simulation {
 
 #[cfg(test)]
 mod tests {
+    use super::testkit::{fresh_context, fresh_resume, fresh_sim};
     use super::*;
     use crate::disease::sir_model;
     use crate::interventions::{Intervention, InterventionSet};
@@ -1331,33 +1200,32 @@ mod tests {
     }
 
     fn sim_on(net: &ContactNetwork, beta: f64, cfg: SimConfig) -> Simulation {
-        let n = net.n_nodes;
-        Simulation::new(
-            net,
-            sir_model(beta, 5.0),
-            vec![2; n],
-            vec![0; n],
-            InterventionSet::default(),
-            cfg,
-        )
+        fresh_sim(net, sir_model(beta, 5.0), InterventionSet::default(), cfg)
     }
 
-    /// Frontier and reference scans must agree byte-for-byte on every
-    /// output series, across partition counts.
-    fn assert_modes_equal(net: &ContactNetwork, beta: f64, base: SimConfig) {
+    /// The frontier scan at `base`'s saturation threshold and the θ = 0
+    /// full sweep must both agree byte-for-byte with the two-pass oracle
+    /// on every output series and every per-tick counter, across
+    /// partition counts (the merge may only examine fewer edges).
+    /// Returns the oracle's telemetry from the last partition count.
+    fn assert_modes_equal(net: &ContactNetwork, beta: f64, base: SimConfig) -> EngineStats {
+        let mut stats = EngineStats::default();
         for parts in [1usize, 4, 13] {
             let cfg = SimConfig { n_partitions: parts, ..base.clone() };
-            let fr = sim_on(net, beta, SimConfig { reference_scan: false, ..cfg.clone() }).run();
-            let rf = sim_on(net, beta, SimConfig { reference_scan: true, ..cfg }).run();
-            assert_eq!(
-                fr.output.transitions, rf.output.transitions,
-                "transition logs diverge at {parts} partitions"
-            );
-            assert_eq!(fr.output.new_counts, rf.output.new_counts);
-            assert_eq!(fr.output.current_counts, rf.output.current_counts);
-            assert_eq!(fr.output.county_new, rf.output.county_new);
-            assert_eq!(fr.output.memory_bytes, rf.output.memory_bytes);
+            let oracle = sim_on(net, beta, cfg.clone()).with_oracle_scan().run();
+            let sweep =
+                sim_on(net, beta, SimConfig { saturation_threshold: 0.0, ..cfg.clone() }).run();
+            assert_eq!(sweep.output, oracle.output, "θ = 0 diverges at {parts} partitions");
+            assert_eq!(sweep.stats, oracle.stats, "θ = 0 telemetry at {parts} partitions");
+            let fr = sim_on(net, beta, cfg).run();
+            assert_eq!(fr.output, oracle.output, "frontier diverges at {parts} partitions");
+            assert_eq!(fr.stats.frontier_nodes, oracle.stats.frontier_nodes);
+            assert_eq!(fr.stats.due_nodes, oracle.stats.due_nodes);
+            assert_eq!(fr.stats.events, oracle.stats.events);
+            assert!(fr.stats.total_edges_scanned() <= oracle.stats.total_edges_scanned());
+            stats = oracle.stats;
         }
+        stats
     }
 
     #[test]
@@ -1403,13 +1271,23 @@ mod tests {
         assert!(!a.is_empty());
     }
 
+    /// A clique saturates: with the frontier at ≥ 3/4 of the nodes on
+    /// some tick, at least one partition takes the full-range sweep at
+    /// the default threshold, so that branch is checked against the
+    /// oracle here (no benchmark workload reaches it).
     #[test]
     fn frontier_equals_reference_dense() {
         let net = dense_network(50);
-        assert_modes_equal(
+        let stats = assert_modes_equal(
             &net,
             1.5,
             SimConfig { ticks: 40, seed: 99, initial_infections: 4, ..Default::default() },
+        );
+        let theta = SimConfig::default().saturation_threshold;
+        assert!(
+            stats.frontier_nodes.iter().any(|&f| f as f64 >= theta * net.n_nodes as f64),
+            "no saturated tick: {:?}",
+            stats.frontier_nodes
         );
     }
 
@@ -1481,7 +1359,7 @@ mod tests {
     fn frontier_equals_reference_under_interventions() {
         // Edge flips and scale changes mid-run must not strand frontier
         // nodes: disabling the only infectious contact and re-enabling
-        // it later has to produce the same infections in both modes.
+        // it later has to produce the same infections as the oracle.
         struct Flipper;
         impl Intervention for Flipper {
             fn name(&self) -> &str {
@@ -1513,23 +1391,14 @@ mod tests {
             }
         }
         let net = dense_network(40);
-        let mk = |reference| {
-            let n = net.n_nodes;
-            let mut sim = Simulation::new(
+        let mk = |oracle: bool| {
+            let sim = fresh_sim(
                 &net,
                 sir_model(1.8, 5.0),
-                vec![2; n],
-                vec![0; n],
                 InterventionSet::new().with(Box::new(Flipper)),
-                SimConfig {
-                    ticks: 50,
-                    seed: 21,
-                    initial_infections: 3,
-                    reference_scan: reference,
-                    ..Default::default()
-                },
+                SimConfig { ticks: 50, seed: 21, initial_infections: 3, ..Default::default() },
             );
-            sim.run().output
+            if oracle { sim.with_oracle_scan() } else { sim }.run().output
         };
         let fr = mk(false);
         let rf = mk(true);
@@ -1541,8 +1410,8 @@ mod tests {
     #[test]
     fn external_health_writes_rebuild_frontier() {
         // An intervention teleporting nodes into the infectious state
-        // via SimState::set_health must infect their neighbors in both
-        // modes (the epoch check rebuilds the frontier index).
+        // via SimState::set_health must infect their neighbors, as in
+        // the oracle (the epoch check rebuilds the frontier index).
         struct Teleport;
         impl Intervention for Teleport {
             fn name(&self) -> &str {
@@ -1557,23 +1426,14 @@ mod tests {
             }
         }
         let net = dense_network(40);
-        let mk = |reference| {
-            let n = net.n_nodes;
-            let mut sim = Simulation::new(
+        let mk = |oracle: bool| {
+            let sim = fresh_sim(
                 &net,
                 sir_model(1.5, 5.0),
-                vec![2; n],
-                vec![0; n],
                 InterventionSet::new().with(Box::new(Teleport)),
-                SimConfig {
-                    ticks: 30,
-                    seed: 3,
-                    initial_infections: 0,
-                    reference_scan: reference,
-                    ..Default::default()
-                },
+                SimConfig { ticks: 30, seed: 3, initial_infections: 0, ..Default::default() },
             );
-            sim.run().output
+            if oracle { sim.with_oracle_scan() } else { sim }.run().output
         };
         let fr = mk(false);
         let rf = mk(true);
@@ -1604,20 +1464,20 @@ mod tests {
     #[test]
     fn stats_show_frontier_savings() {
         // β = 0: seeds recover without spreading, so susceptible nodes
-        // remain for the reference scan to keep visiting after the
-        // frontier has emptied.
+        // remain for the full sweep to keep visiting after the frontier
+        // has emptied.
         let net = dense_network(50);
         let base = SimConfig { ticks: 40, seed: 99, initial_infections: 4, ..Default::default() };
-        let fr = sim_on(&net, 0.0, SimConfig { reference_scan: false, ..base.clone() }).run();
-        let rf = sim_on(&net, 0.0, SimConfig { reference_scan: true, ..base }).run();
+        let fr = sim_on(&net, 0.0, base.clone()).run();
+        let rf = sim_on(&net, 0.0, SimConfig { saturation_threshold: 0.0, ..base }).run();
         assert_eq!(fr.stats.frontier_nodes.len(), 40);
         assert_eq!(fr.stats.edges_scanned.len(), 40);
         assert!(
             fr.stats.total_edges_scanned() <= rf.stats.total_edges_scanned(),
-            "frontier λ-pass can never examine more edges than the reference"
+            "frontier λ-pass can never examine more edges than the full sweep"
         );
-        // Once the epidemic dies out the frontier empties; the
-        // reference keeps paying for every susceptible node.
+        // Once the epidemic dies out the frontier empties; the full
+        // sweep keeps paying for every susceptible node.
         assert_eq!(*fr.stats.edges_scanned.last().unwrap(), 0);
         assert!(*rf.stats.edges_scanned.last().unwrap() > 0);
         let occ = fr.stats.mean_frontier_occupancy(net.n_nodes);
@@ -1810,16 +1670,8 @@ mod tests {
     fn resume_sim(net: &ContactNetwork, beta: f64, cfg: SimConfig, sim: &Simulation) -> Simulation {
         let snap = crate::checkpoint::SimSnapshot::decode(&sim.snapshot().encode())
             .expect("snapshot survives encode/decode");
-        Simulation::resume(
-            net,
-            sir_model(beta, 5.0),
-            vec![2; net.n_nodes],
-            vec![0; net.n_nodes],
-            InterventionSet::default(),
-            cfg,
-            &snap,
-        )
-        .expect("snapshot matches the simulation it came from")
+        fresh_resume(net, sir_model(beta, 5.0), InterventionSet::default(), cfg, &snap)
+            .expect("snapshot matches the simulation it came from")
     }
 
     /// The golden invariant: interrupt at any tick, snapshot, resume —
@@ -1828,12 +1680,12 @@ mod tests {
     #[test]
     fn ckpt_interrupt_resume_byte_identical() {
         let net = dense_network(50);
-        for reference_scan in [false, true] {
+        for saturation_threshold in [0.75, 0.0] {
             let base = SimConfig {
                 ticks: 40,
                 seed: 99,
                 initial_infections: 4,
-                reference_scan,
+                saturation_threshold,
                 ..Default::default()
             };
             let baseline = sim_on(&net, 1.5, base.clone()).run();
@@ -1855,18 +1707,17 @@ mod tests {
         }
     }
 
-    /// Resuming under the *other* scan mode still reproduces the same
+    /// Resuming as a θ = 0 full sweep still reproduces the same
     /// epidemic (the snapshot is scan-mode-agnostic).
     #[test]
     fn ckpt_resume_across_scan_modes() {
         let net = dense_network(40);
         let base = SimConfig { ticks: 30, seed: 7, initial_infections: 3, ..Default::default() };
         let baseline = sim_on(&net, 1.2, base.clone()).run();
-        let mut interrupted =
-            sim_on(&net, 1.2, SimConfig { ticks: 11, reference_scan: false, ..base.clone() });
+        let mut interrupted = sim_on(&net, 1.2, SimConfig { ticks: 11, ..base.clone() });
         interrupted.run();
         let mut resumed =
-            resume_sim(&net, 1.2, SimConfig { reference_scan: true, ..base }, &interrupted);
+            resume_sim(&net, 1.2, SimConfig { saturation_threshold: 0.0, ..base }, &interrupted);
         assert_eq!(resumed.run().output, baseline.output);
     }
 
@@ -1900,16 +1751,7 @@ mod tests {
         sim.run();
         let snap = sim.snapshot();
         let try_resume = |net: &ContactNetwork, cfg: SimConfig, snap: &SimSnapshot| {
-            let n = net.n_nodes;
-            Simulation::resume(
-                net,
-                sir_model(1.0, 5.0),
-                vec![2; n],
-                vec![0; n],
-                InterventionSet::default(),
-                cfg,
-                snap,
-            )
+            fresh_resume(net, sir_model(1.0, 5.0), InterventionSet::default(), cfg, snap)
         };
         // Wrong seed.
         let r = try_resume(&net, SimConfig { seed: 6, ..base.clone() }, &snap);
@@ -1932,21 +1774,14 @@ mod tests {
 
     /// A context-backed simulation (shared `Arc<SimContext>`, pooled
     /// scratch moved from replicate to replicate) must be byte-identical
-    /// to the fresh-build path on every output series.
+    /// to a run on its own fresh context on every output series.
     #[test]
     fn shared_context_byte_identical_to_fresh_build() {
         let net = dense_network(50);
-        let n = net.n_nodes;
         for parts in [1usize, 4, 13] {
             let cfg =
                 |seed| SimConfig { ticks: 40, seed, n_partitions: parts, ..Default::default() };
-            let ctx = std::sync::Arc::new(SimContext::build(
-                &net,
-                vec![2; n],
-                vec![0; n],
-                parts,
-                SimConfig::default().epsilon,
-            ));
+            let ctx = fresh_context(&net, &cfg(0));
             let mut scratch = SimScratch::new();
             for seed in [1u64, 9, 42] {
                 let fresh = sim_on(&net, 1.5, cfg(seed)).run();
@@ -1980,10 +1815,10 @@ mod tests {
         );
     }
 
-    /// θ = 0 degenerates every tick to the reference sweep: identical
-    /// output *and* identical edges-scanned telemetry to a
-    /// `reference_scan` run, even on a sparse epidemic where the
-    /// frontier scan would have skipped most of the network.
+    /// θ = 0 degenerates every tick to a full sweep: identical output
+    /// *and* identical telemetry (edges scanned included) to the
+    /// two-pass oracle, even on a sparse epidemic where the frontier
+    /// scan would have skipped most of the network.
     #[test]
     fn saturation_threshold_zero_degenerates_to_reference_sweep() {
         let net = dense_network(50);
@@ -1992,10 +1827,10 @@ mod tests {
         // takes the frontier path while θ = 0 must not.
         let degen =
             sim_on(&net, 0.0, SimConfig { saturation_threshold: 0.0, ..base.clone() }).run();
-        let reference = sim_on(&net, 0.0, SimConfig { reference_scan: true, ..base.clone() }).run();
+        let oracle = sim_on(&net, 0.0, base.clone()).with_oracle_scan().run();
         let frontier = sim_on(&net, 0.0, base).run();
-        assert_eq!(degen.output, reference.output);
-        assert_eq!(degen.stats.edges_scanned, reference.stats.edges_scanned);
+        assert_eq!(degen.output, oracle.output);
+        assert_eq!(degen.stats, oracle.stats);
         assert!(
             frontier.stats.total_edges_scanned() < degen.stats.total_edges_scanned(),
             "the default threshold should beat the degenerate sweep here"
@@ -2008,16 +1843,9 @@ mod tests {
     #[test]
     fn ckpt_round_trip_through_shared_context() {
         let net = dense_network(50);
-        let n = net.n_nodes;
         let base = SimConfig { ticks: 40, seed: 99, initial_infections: 4, ..Default::default() };
         let baseline = sim_on(&net, 1.5, base.clone()).run();
-        let ctx = std::sync::Arc::new(SimContext::build(
-            &net,
-            vec![2; n],
-            vec![0; n],
-            base.n_partitions,
-            base.epsilon,
-        ));
+        let ctx = fresh_context(&net, &base);
         for k in [0u32, 1, 17, 39, 40] {
             let mut interrupted = Simulation::new_with_context(
                 ctx.clone(),
@@ -2042,8 +1870,7 @@ mod tests {
         }
     }
 
-    /// resume_with_context applies the same mismatch validation as the
-    /// fresh-build resume.
+    /// resume_with_context rejects a context built from another network.
     #[test]
     fn ckpt_resume_with_context_rejects_mismatches() {
         use crate::checkpoint::SnapshotError;
@@ -2052,14 +1879,7 @@ mod tests {
         let mut sim = sim_on(&net, 1.0, SimConfig { ticks: 8, ..base.clone() });
         sim.run();
         let snap = sim.snapshot();
-        let other = dense_network(21);
-        let wrong_ctx = std::sync::Arc::new(SimContext::build(
-            &other,
-            vec![2; 21],
-            vec![0; 21],
-            base.n_partitions,
-            base.epsilon,
-        ));
+        let wrong_ctx = fresh_context(&dense_network(21), &base);
         let r = Simulation::resume_with_context(
             wrong_ctx,
             sir_model(1.0, 5.0),

@@ -708,7 +708,8 @@ mod tests {
     use super::*;
     use crate::covid::{covid19_model, states};
     use crate::disease::sir_model;
-    use crate::engine::{RuntimeNet, SimConfig, Simulation};
+    use crate::engine::testkit::fresh_sim;
+    use crate::engine::{RuntimeNet, SimConfig};
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::ContactNetwork;
 
@@ -731,12 +732,9 @@ mod tests {
     }
 
     fn run_with(net: &ContactNetwork, interventions: InterventionSet, seed: u64) -> usize {
-        let n = net.n_nodes;
-        let mut sim = Simulation::new(
+        let mut sim = fresh_sim(
             net,
             sir_model(1.2, 5.0),
-            vec![2; n],
-            vec![0; n],
             interventions,
             SimConfig { ticks: 80, seed, initial_infections: 3, ..Default::default() },
         );
@@ -803,13 +801,10 @@ mod tests {
     #[test]
     fn vhi_reduces_spread_in_covid_model() {
         let net = work_clique(80);
-        let n = net.n_nodes;
         let run = |ivs: InterventionSet| {
-            let mut sim = Simulation::new(
+            let mut sim = fresh_sim(
                 &net,
                 covid19_model(),
-                vec![2; n],
-                vec![0; n],
                 ivs,
                 SimConfig { ticks: 100, seed: 11, initial_infections: 4, ..Default::default() },
             );
@@ -1028,18 +1023,15 @@ mod tests {
         // A case importation at tick 4 via SetHealth must be picked up
         // by the engine (frontier rebuild) and seed an epidemic.
         let net = work_clique(30);
-        let n = net.n_nodes;
         let gi = GenericIntervention::new(
             "import",
             Trigger::AtTick { tick: 4 },
             Target::Node { node: 3 },
             vec![Operation::SetHealth { to: 1 }],
         );
-        let mut sim = Simulation::new(
+        let mut sim = fresh_sim(
             &net,
             sir_model(2.0, 5.0),
-            vec![2; n],
-            vec![0; n],
             InterventionSet::new().with(Box::new(gi)),
             SimConfig { ticks: 40, seed: 8, initial_infections: 0, ..Default::default() },
         );

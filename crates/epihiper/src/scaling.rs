@@ -78,7 +78,7 @@ impl MpiCostModel {
     /// Calibrate `per_edge_secs` from a frontier-mode run, where the
     /// engine reports exactly how many in-edges its λ pass examined
     /// (`EngineStats::total_edges_scanned`) instead of assuming the
-    /// full `directed_edges × ticks` sweep the reference scan pays.
+    /// full `directed_edges × ticks` sweep a θ = 0 scan pays.
     pub fn calibrate_per_edge_scanned(mut self, measured_secs: f64, edges_scanned: u64) -> Self {
         assert!(edges_scanned > 0);
         self.per_edge_secs = measured_secs / edges_scanned as f64;

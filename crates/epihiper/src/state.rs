@@ -113,7 +113,7 @@ impl SimState {
     /// occupancy before the next scan. Scheduled progressions
     /// (`exit_tick`/`next_state`) are intentionally untouched: they
     /// fire regardless of the current health state, exactly as the
-    /// reference scan does.
+    /// a full-range sweep does.
     pub fn set_health(&mut self, node: u32, to: StateId) {
         let slot = &mut self.health[node as usize];
         if *slot != to {

@@ -223,16 +223,6 @@ impl ContactNetwork {
         }
     }
 
-    /// Histogram of edge counts by (unordered) context pair label of the
-    /// *first* endpoint — a quick view of the network's context mix.
-    pub fn context_histogram(&self) -> HashMap<ActivityType, usize> {
-        let mut h = HashMap::new();
-        for e in &self.edges {
-            *h.entry(e.ctx_u).or_insert(0) += 1;
-        }
-        h
-    }
-
     /// Serialize edges to the CSV schema the paper describes: the two
     /// person ids, contexts, start time and duration.
     pub fn to_csv(&self) -> String {

@@ -13,8 +13,7 @@
 //! ```
 
 use epiflow::calibrate::{GpmsaConfig, MetropolisConfig};
-use epiflow::core::runner::run_cell;
-use epiflow::core::{CalibrationWorkflow, CellConfig, PredictionWorkflow};
+use epiflow::core::{CalibrationWorkflow, CellConfig, EnsembleRunner, PredictionWorkflow};
 use epiflow::surveillance::{RegionRegistry, Scale};
 use epiflow::synthpop::{build_region, BuildConfig};
 
@@ -43,10 +42,13 @@ fn main() {
         ..Default::default()
     };
 
+    // One shared network context (4 partitions) for every simulation
+    // below: the truth runs, calibration and prediction.
+    let runner = EnsembleRunner::new(&data, 4);
+
     // Hidden truth (what the real system can never know).
     let truth = [0.28, 0.60, 0.55, 0.50];
-    let observed =
-        run_cell(&data, &CellConfig::from_theta(999, &truth, &base), 5, 4, false, 0xFEED);
+    let observed = runner.run_cell(&CellConfig::from_theta(999, &truth, &base), 5, false, 0xFEED);
     println!("generated observed curve from hidden θ = {truth:?}");
 
     // Calibrate: 100 LHS prior cells, GPMSA posterior, 100 posterior
@@ -68,7 +70,7 @@ fn main() {
         ..Default::default()
     };
     println!("\nsimulating 100 prior configurations + fitting emulator + MCMC …");
-    let result = workflow.run(&data, &observed.log_cum_symptomatic);
+    let result = workflow.run_with(&runner, &observed.log_cum_symptomatic);
 
     let mean = result.posterior.theta.mean();
     let sd = result.posterior.theta.std_dev();
@@ -89,7 +91,7 @@ fn main() {
         n_partitions: 4,
         seed: 3,
     }
-    .run(&data, &configs);
+    .run_with(&runner, &configs);
     let d = (base.days + 55) as usize;
     println!(
         "\n8-week-ahead cumulative case forecast: median {:.0}, 95% band [{:.0}, {:.0}]",
@@ -99,11 +101,9 @@ fn main() {
     );
 
     // Verify against the (hidden) future.
-    let future = run_cell(
-        &data,
+    let future = runner.run_cell(
         &CellConfig { days: base.days + 56, ..CellConfig::from_theta(998, &truth, &base) },
         5,
-        4,
         false,
         0xFEED,
     );

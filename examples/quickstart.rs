@@ -7,9 +7,10 @@
 
 use epiflow::epihiper::covid::{covid19_model, states};
 use epiflow::epihiper::interventions::base_case;
-use epiflow::epihiper::{SimConfig, Simulation};
+use epiflow::epihiper::{SimConfig, SimContext, Simulation};
 use epiflow::surveillance::{RegionRegistry, Scale};
 use epiflow::synthpop::{build_region, BuildConfig};
+use std::sync::Arc;
 
 fn main() {
     // 1. The 51-region registry and a scaled-down synthetic Delaware.
@@ -39,24 +40,22 @@ fn main() {
     let interventions = base_case(states::SYMPTOMATIC, 30, 45, 130, 0.6, 0.6);
 
     // 3. Run 150 days on 4 partitions (results are identical for any
-    //    partition count — the engine's RNG is counter-based).
+    //    partition count — the engine's RNG is counter-based). The
+    //    immutable half — CSR network, partitioning, per-node
+    //    demographics — is a shared context; an ensemble builds it once
+    //    and runs every replicate against it.
     let age: Vec<u8> =
         data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
     let county: Vec<u16> = data.population.persons.iter().map(|p| p.county).collect();
-    let mut sim = Simulation::new(
-        &data.network,
-        model,
-        age,
-        county,
-        interventions,
-        SimConfig {
-            ticks: 150,
-            seed: 7,
-            n_partitions: 4,
-            initial_infections: 10,
-            ..Default::default()
-        },
-    );
+    let config = SimConfig {
+        ticks: 150,
+        seed: 7,
+        n_partitions: 4,
+        initial_infections: 10,
+        ..Default::default()
+    };
+    let ctx = SimContext::build(&data.network, age, county, config.n_partitions, config.epsilon);
+    let mut sim = Simulation::new_with_context(Arc::new(ctx), model, interventions, config);
     let result = sim.run();
     println!(
         "Simulated 150 days in {:.3} s on {} partitions",

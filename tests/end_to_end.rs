@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: the full pipelines, end to end.
 
 use epiflow::calibrate::{calibrate_direct, MetropolisConfig, ParamSpace};
-use epiflow::core::runner::run_cell;
 use epiflow::core::{CalibrationWorkflow, CellConfig, EnsembleRunner, PredictionWorkflow};
 use epiflow::epihiper::covid::states;
 use epiflow::metapop::{MetapopModel, Mixing, Scenario, SeirParams};
@@ -28,7 +27,7 @@ fn synthpop_feeds_epihiper_consistently() {
         initial_infections: 6,
         ..Default::default()
     };
-    let run = run_cell(&data, &cell, 0, 4, true, 99);
+    let run = EnsembleRunner::new(&data, 4).run_cell(&cell, 0, true, 99);
     let infections = run.output.total_infections();
     assert!(infections > 10, "epidemic expected, got {infections}");
     // Every transmission edge of the dendogram is a real contact edge.
@@ -55,12 +54,12 @@ fn calibration_to_prediction_pipeline() {
         initial_infections: 8,
         ..Default::default()
     };
-    let truth = CellConfig::from_theta(900, &[0.32, 0.6, 0.4, 0.4], &base);
-    let observed = run_cell(&data, &truth, 2, 4, false, 0xAB);
-
-    // One shared ensemble context for the whole nightly pipeline:
-    // calibration and prediction run against the same network build.
+    // One shared ensemble context for the whole nightly pipeline: the
+    // observed curve, calibration and prediction run against the same
+    // network build.
     let runner = EnsembleRunner::new(&data, 4);
+    let truth = CellConfig::from_theta(900, &[0.32, 0.6, 0.4, 0.4], &base);
+    let observed = runner.run_cell(&truth, 2, false, 0xAB);
 
     let cal = CalibrationWorkflow {
         n_prior_cells: 24,
@@ -152,8 +151,8 @@ fn full_stack_determinism() {
     let b = small_region("VT", 6000.0, 11);
     assert_eq!(a.network.edges, b.network.edges);
     let cell = CellConfig { days: 50, ..Default::default() };
-    let ra = run_cell(&a, &cell, 1, 3, true, 77);
-    let rb = run_cell(&b, &cell, 1, 7, true, 77); // different partition count!
+    let ra = EnsembleRunner::new(&a, 3).run_cell(&cell, 1, true, 77);
+    let rb = EnsembleRunner::new(&b, 7).run_cell(&cell, 1, true, 77); // different partition count!
     assert_eq!(ra.output.transitions, rb.output.transitions);
 }
 
@@ -162,6 +161,7 @@ fn full_stack_determinism() {
 #[test]
 fn npi_dose_response_through_pipeline() {
     let data = small_region("NH", 4000.0, 13);
+    let runner = EnsembleRunner::new(&data, 4);
     let run_with = |sh_compliance: f64, vhi: f64| {
         let cell = CellConfig {
             days: 100,
@@ -174,7 +174,7 @@ fn npi_dose_response_through_pipeline() {
             initial_infections: 8,
             ..Default::default()
         };
-        let r = run_cell(&data, &cell, 0, 4, false, 21);
+        let r = runner.run_cell(&cell, 0, false, 21);
         r.log_cum_symptomatic.last().unwrap().exp() - 1.0
     };
     let lax = run_with(0.05, 0.05);
@@ -196,7 +196,7 @@ fn severity_pipeline_consistency() {
         initial_infections: 10,
         ..Default::default()
     };
-    let run = run_cell(&data, &cell, 0, 4, true, 5);
+    let run = EnsembleRunner::new(&data, 4).run_cell(&cell, 0, true, 5);
     let deaths: u64 = run.output.daily_new(states::DEATH).iter().map(|&x| x as u64).sum();
     let death_path_entries: u64 =
         run.output.daily_new(states::ATTENDED_D).iter().map(|&x| x as u64).sum();

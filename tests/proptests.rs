@@ -54,56 +54,41 @@ fn arb_edges(max_nodes: u32) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     })
 }
 
-/// Run an SIR simulation on `net` in the given scan mode.
-fn run_epi(net: &ContactNetwork, beta: f64, seed: u64, parts: usize, reference: bool) -> SimResult {
+/// A context for `net` with uniform demographics, built for `parts`
+/// partitions at the default ε.
+fn context(net: &ContactNetwork, parts: usize) -> Arc<SimContext> {
     let n = net.n_nodes;
-    let mut sim = Simulation::new(
-        net,
-        sir_model(beta, 5.0),
-        vec![2; n],
-        vec![0; n],
-        InterventionSet::default(),
-        SimConfig {
-            ticks: 30,
-            seed,
-            n_partitions: parts,
-            initial_infections: 3,
-            reference_scan: reference,
-            ..Default::default()
-        },
-    );
-    sim.run()
+    let eps = SimConfig::default().epsilon;
+    Arc::new(SimContext::build(net, vec![2; n], vec![0; n], parts, eps))
 }
 
-/// Run a 30-tick SIR simulation to completion, or — when
-/// `interrupt_at` is set — stop at that tick, round-trip a snapshot
-/// through the wire encoding, and resume at a different partition
-/// count. `mk_iv` builds the intervention set fresh for each
-/// simulation (the set holds boxed trait objects and is not `Clone`).
+/// Run a 30-tick SIR simulation at saturation threshold `theta` to
+/// completion, or — when `interrupt_at` is set — stop at that tick,
+/// round-trip a snapshot through the wire encoding, and resume at a
+/// different partition count. `mk_iv` builds the intervention set fresh
+/// for each simulation (the set holds boxed trait objects and is not
+/// `Clone`).
 fn run_epi_ckpt(
     net: &ContactNetwork,
     beta: f64,
     seed: u64,
-    reference: bool,
+    theta: f64,
     interrupt_at: Option<u32>,
     parts_after: usize,
     mk_iv: &dyn Fn() -> InterventionSet,
 ) -> SimResult {
-    let n = net.n_nodes;
     let cfg = |ticks: u32, parts: usize| SimConfig {
         ticks,
         seed,
         n_partitions: parts,
         initial_infections: 3,
-        reference_scan: reference,
+        saturation_threshold: theta,
         ..Default::default()
     };
     let sim = |ticks: u32, parts: usize| {
-        Simulation::new(
-            net,
+        Simulation::new_with_context(
+            context(net, parts),
             sir_model(beta, 5.0),
-            vec![2; n],
-            vec![0; n],
             mk_iv(),
             cfg(ticks, parts),
         )
@@ -115,11 +100,9 @@ fn run_epi_ckpt(
     interrupted.run();
     let bytes = interrupted.snapshot().encode();
     let snap = SimSnapshot::decode(&bytes).expect("snapshot wire round-trip");
-    let mut resumed = Simulation::resume(
-        net,
+    let mut resumed = Simulation::resume_with_context(
+        context(net, parts_after),
         sir_model(beta, 5.0),
-        vec![2; n],
-        vec![0; n],
         mk_iv(),
         cfg(30, parts_after),
         &snap,
@@ -250,53 +233,11 @@ proptest! {
         }
     }
 
-    /// The frontier scan is byte-identical to the reference full-range
-    /// scan on arbitrary sparse/disconnected networks, across seeds and
-    /// partition counts, and never examines more λ-pass edges.
-    #[test]
-    fn frontier_scan_equals_reference_sparse(
-        (n, pairs) in arb_edges(300),
-        seed in any::<u64>(),
-        beta in 0.0f64..3.0,
-    ) {
-        let net = make_network(n, &pairs);
-        for parts in [1usize, 4, 13] {
-            let fr = run_epi(&net, beta, seed, parts, false);
-            let rf = run_epi(&net, beta, seed, parts, true);
-            prop_assert_eq!(
-                &fr.output.transitions, &rf.output.transitions,
-                "transition logs diverge at {} partitions", parts
-            );
-            prop_assert_eq!(&fr.output.new_counts, &rf.output.new_counts);
-            prop_assert_eq!(&fr.output.current_counts, &rf.output.current_counts);
-            prop_assert_eq!(&fr.output.memory_bytes, &rf.output.memory_bytes);
-            prop_assert!(
-                fr.stats.total_edges_scanned() <= rf.stats.total_edges_scanned()
-            );
-        }
-    }
-
-    /// Same equivalence on small dense networks, where the frontier
-    /// covers most of the graph (the worst case for the merge scan).
-    #[test]
-    fn frontier_scan_equals_reference_dense(
-        (n, pairs) in arb_edges(16),
-        seed in any::<u64>(),
-        beta in 0.5f64..3.0,
-    ) {
-        let net = make_network(n, &pairs);
-        for parts in [1usize, 4, 13] {
-            let fr = run_epi(&net, beta, seed, parts, false);
-            let rf = run_epi(&net, beta, seed, parts, true);
-            prop_assert_eq!(&fr.output.transitions, &rf.output.transitions);
-            prop_assert_eq!(&fr.output.current_counts, &rf.output.current_counts);
-        }
-    }
-
     /// The golden checkpoint invariant: interrupting a run at *any*
     /// tick, round-tripping the snapshot through the checksummed wire
     /// encoding, and resuming — at a different partition count — is
-    /// byte-identical to the uninterrupted run, in both scan modes.
+    /// byte-identical to the uninterrupted run, at the default
+    /// saturation threshold and as a θ = 0 full sweep.
     #[test]
     fn ckpt_resume_any_tick_byte_identical(
         (n, pairs) in arb_edges(120),
@@ -306,11 +247,11 @@ proptest! {
     ) {
         let net = make_network(n, &pairs);
         let no_iv = InterventionSet::default;
-        for reference in [false, true] {
-            let full = run_epi_ckpt(&net, beta, seed, reference, None, 4, &no_iv);
+        for theta in [0.75, 0.0] {
+            let full = run_epi_ckpt(&net, beta, seed, theta, None, 4, &no_iv);
             // Resume at the same partition count: everything matches,
             // counters included.
-            let same = run_epi_ckpt(&net, beta, seed, reference, Some(k), 4, &no_iv);
+            let same = run_epi_ckpt(&net, beta, seed, theta, Some(k), 4, &no_iv);
             prop_assert_eq!(
                 &full.output, &same.output,
                 "output diverged after interrupt at tick {}", k
@@ -321,7 +262,7 @@ proptest! {
             // unchanged; only the per-partition scan-cost counter
             // (`edges_scanned`) may legitimately shift.
             for parts_after in [1usize, 13] {
-                let repart = run_epi_ckpt(&net, beta, seed, reference, Some(k), parts_after, &no_iv);
+                let repart = run_epi_ckpt(&net, beta, seed, theta, Some(k), parts_after, &no_iv);
                 prop_assert_eq!(
                     &full.output, &repart.output,
                     "output diverged resuming at {} partitions after tick {}", parts_after, k
@@ -358,8 +299,8 @@ proptest! {
                 .with(Box::new(StayAtHome::new(3, 12, 0.6)))
                 .with(Box::new(isolate))
         };
-        let full = run_epi_ckpt(&net, beta, seed, false, None, 4, &mk_iv);
-        let resumed = run_epi_ckpt(&net, beta, seed, false, Some(k), 4, &mk_iv);
+        let full = run_epi_ckpt(&net, beta, seed, 0.75, None, 4, &mk_iv);
+        let resumed = run_epi_ckpt(&net, beta, seed, 0.75, Some(k), 4, &mk_iv);
         prop_assert_eq!(
             &full.output, &resumed.output,
             "intervention state diverged after interrupt at tick {}", k
@@ -639,8 +580,8 @@ proptest! {
     /// The ensemble invariant: one shared [`SimContext`] per partition
     /// count, reused across a ⟨cell (beta), replicate (seed)⟩ grid with
     /// pooled scratch carried run-to-run, is byte-identical to building
-    /// every simulation from scratch — outputs, telemetry, and snapshot
-    /// wire bytes alike. A context-backed run interrupted mid-flight
+    /// a fresh context for every simulation — outputs, telemetry, and
+    /// snapshot wire bytes alike. A context-backed run interrupted mid-flight
     /// also resumes through the same shared `Arc` to the same bytes.
     #[test]
     fn shared_context_grid_byte_identical(
@@ -649,7 +590,6 @@ proptest! {
         k in 0u32..=30,
     ) {
         let net = make_network(n, &pairs);
-        let nn = net.n_nodes;
         let betas = [0.4f64, 1.5]; // two cells of a tiny study design
         let cfg = |seed: u64, ticks: u32, parts: usize| SimConfig {
             ticks,
@@ -659,22 +599,14 @@ proptest! {
             ..Default::default()
         };
         for parts in [1usize, 4, 13] {
-            let ctx = Arc::new(SimContext::build(
-                &net,
-                vec![2; nn],
-                vec![0; nn],
-                parts,
-                SimConfig::default().epsilon,
-            ));
+            let ctx = context(&net, parts);
             let mut scratch = SimScratch::new();
             for (cell, &beta) in betas.iter().enumerate() {
                 for rep in 0..2u64 {
                     let seed = base_seed ^ ((cell as u64) << 16) ^ rep;
-                    let mut fresh = Simulation::new(
-                        &net,
+                    let mut fresh = Simulation::new_with_context(
+                        context(&net, parts),
                         sir_model(beta, 5.0),
-                        vec![2; nn],
-                        vec![0; nn],
                         InterventionSet::default(),
                         cfg(seed, 30, parts),
                     );
