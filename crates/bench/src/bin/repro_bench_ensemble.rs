@@ -16,14 +16,21 @@
 //! `SimOutput`) — the speedup is only meaningful if the fast path is
 //! exact. The JSON is validated by re-parsing before it is written.
 //!
+//! Each run is timed on the worker that executes it. A run's *setup*
+//! is its wall time outside the engine's timed tick loop: the context
+//! build (fresh path only), per-replicate state allocation and the
+//! summary. A path's `setup_fraction` is Σ per-run setup seconds ÷
+//! Σ per-run seconds, a ratio of like quantities that does not depend
+//! on how many workers ran the design. The shared path's one-time
+//! context build is reported on its own as `context_build_secs`.
+//!
 //! `--smoke` shrinks the region and the replicate ladder and skips the
 //! performance assertion so CI can verify the harness end-to-end in
 //! seconds.
 
-use epiflow_bench::region;
+use epiflow_bench::{available_parallelism, region};
 use epiflow_core::{CellConfig, CellRunSummary, EnsembleRunner, StudyDesign};
-use epiflow_epihiper::covid::covid19_model;
-use epiflow_epihiper::{InterventionSet, SimConfig, SimContext, Simulation};
+use epiflow_epihiper::SimScratch;
 use epiflow_surveillance::RegionRegistry;
 use rayon::prelude::*;
 use serde::{Number, Value};
@@ -32,31 +39,13 @@ use std::time::Instant;
 const N_PARTITIONS: usize = 4;
 const BASE_SEED: u64 = 0x2026_0807;
 
-/// Wall time of one fresh context build plus simulation — the
-/// per-replicate setup cost the shared context amortizes away (CSR
-/// build + partitioning, no tick loop).
-fn fresh_setup_secs(data: &epiflow_synthpop::builder::RegionData, days: u32) -> f64 {
-    let age: Vec<u8> =
-        data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
-    let county: Vec<u16> = data.population.persons.iter().map(|p| p.county).collect();
-    let config = SimConfig {
-        ticks: days,
-        n_partitions: N_PARTITIONS,
-        epsilon: 16,
-        record_transitions: false,
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let ctx = SimContext::build(&data.network, age, county, N_PARTITIONS, config.epsilon);
-    let sim = Simulation::new_with_context(
-        ctx.into(),
-        covid19_model(),
-        InterventionSet::default(),
-        config,
-    );
-    let secs = t0.elapsed().as_secs_f64();
-    drop(sim);
-    secs
+/// One finished run and its measured wall time in seconds.
+type TimedRun = (CellRunSummary, f64);
+
+/// The ⟨cell index, replicate⟩ jobs of a design, in the order
+/// `EnsembleRunner::run_design` runs them.
+fn jobs(design: &StudyDesign) -> Vec<(usize, u32)> {
+    (0..design.cells.len()).flat_map(|i| (0..design.replicates).map(move |r| (i, r))).collect()
 }
 
 /// The pre-ensemble path: every ⟨cell, replicate⟩ job builds its own
@@ -67,30 +56,51 @@ fn run_design_fresh(
     data: &epiflow_synthpop::builder::RegionData,
     design: &StudyDesign,
     base_seed: u64,
-) -> Vec<CellRunSummary> {
-    let jobs: Vec<(usize, u32)> = design
-        .cells
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| (0..design.replicates).map(move |r| (i, r)))
-        .collect();
-    jobs.par_iter()
+) -> Vec<TimedRun> {
+    jobs(design)
+        .par_iter()
         .map(|&(ci, rep)| {
-            EnsembleRunner::new(data, N_PARTITIONS).run_cell(
+            let t0 = Instant::now();
+            let run = EnsembleRunner::new(data, N_PARTITIONS).run_cell(
                 &design.cells[ci],
                 rep,
                 false,
                 base_seed,
-            )
+            );
+            (run, t0.elapsed().as_secs_f64())
         })
         .collect()
 }
 
+/// The shared path, job for job what `EnsembleRunner::run_design`
+/// does (one pooled scratch per worker), with each run timed.
+fn run_design_shared(
+    runner: &EnsembleRunner,
+    design: &StudyDesign,
+    base_seed: u64,
+) -> Vec<TimedRun> {
+    jobs(design)
+        .par_iter()
+        .map_init(SimScratch::new, |scratch, &(ci, rep)| {
+            let t0 = Instant::now();
+            let run = runner.run_cell_pooled(&design.cells[ci], rep, false, base_seed, scratch);
+            (run, t0.elapsed().as_secs_f64())
+        })
+        .collect()
+}
+
+/// Σ per-run setup seconds and Σ per-run seconds.
+fn setup_and_total(runs: &[TimedRun]) -> (f64, f64) {
+    runs.iter().fold((0.0, 0.0), |(setup, total), (run, secs)| {
+        (setup + (secs - run.elapsed_secs), total + secs)
+    })
+}
+
 /// Byte-level equality of two design runs: per-day aggregate outputs
 /// and the calibration observable, job by job.
-fn identical(a: &[CellRunSummary], b: &[CellRunSummary]) -> bool {
+fn identical(a: &[TimedRun], b: &[TimedRun]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
+        && a.iter().zip(b).all(|((x, _), (y, _))| {
             x.cell == y.cell
                 && x.replicate == y.replicate
                 && x.output == y.output
@@ -98,12 +108,13 @@ fn identical(a: &[CellRunSummary], b: &[CellRunSummary]) -> bool {
         })
 }
 
-fn path_value(secs: f64, runs: usize, setup_secs: f64) -> Value {
+fn path_value(secs: f64, runs: &[TimedRun]) -> Value {
     let secs = secs.max(1e-9);
+    let (setup, total) = setup_and_total(runs);
     Value::Map(vec![
         ("elapsed_secs".into(), Value::Num(Number::F(secs))),
-        ("runs_per_sec".into(), Value::Num(Number::F(runs as f64 / secs))),
-        ("setup_fraction".into(), Value::Num(Number::F((setup_secs / secs).min(1.0)))),
+        ("runs_per_sec".into(), Value::Num(Number::F(runs.len() as f64 / secs))),
+        ("setup_fraction".into(), Value::Num(Number::F(setup / total.max(1e-9)))),
     ])
 }
 
@@ -127,23 +138,22 @@ fn main() {
     };
     let mut design = StudyDesign::lhs_prior(n_cells, &base, 0xD5);
 
-    // Per-replicate setup cost of the fresh path (median of 3).
-    let mut setups: Vec<f64> = (0..3).map(|_| fresh_setup_secs(&data, days)).collect();
-    setups.sort_by(f64::total_cmp);
-    let per_run_setup = setups[1];
-
     // One-time cost of the shared path.
     let t0 = Instant::now();
     let runner = EnsembleRunner::new(&data, N_PARTITIONS);
     let ctx_secs = t0.elapsed().as_secs_f64();
-    println!(
-        "setup: fresh {:.1} ms per run, shared context {:.1} ms once\n",
-        per_run_setup * 1e3,
-        ctx_secs * 1e3
-    );
+    println!("setup: shared context {:.1} ms once\n", ctx_secs * 1e3);
+
+    // One untimed pass of the first rung on both paths, so the first
+    // timed rung does not also pay the process's cold start.
+    design.replicates = rep_ladder[0];
+    run_design_fresh(&data, &design, BASE_SEED);
+    run_design_shared(&runner, &design, BASE_SEED);
 
     let mut rows = Vec::new();
     let mut max_speedup = 0.0f64;
+    // Σ setup seconds and run count over every fresh run of the ladder.
+    let (mut fresh_setup_secs, mut fresh_runs) = (0.0, 0usize);
     for &reps in rep_ladder {
         design.replicates = reps;
         let runs = design.cells.len() * reps as usize;
@@ -153,7 +163,7 @@ fn main() {
         let fresh_secs = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        let shared = runner.run_design(&design, BASE_SEED);
+        let shared = run_design_shared(&runner, &design, BASE_SEED);
         let shared_secs = t0.elapsed().as_secs_f64();
 
         let same = identical(&fresh, &shared);
@@ -161,6 +171,9 @@ fn main() {
 
         let speedup = fresh_secs / shared_secs.max(1e-9);
         max_speedup = max_speedup.max(speedup);
+        let (setup, total) = setup_and_total(&fresh);
+        fresh_setup_secs += setup;
+        fresh_runs += fresh.len();
         println!(
             "{runs:>3} runs ({} cells x {reps} reps): fresh {:.3}s  shared {:.3}s  \
              speedup {:.2}x  (fresh setup share {:.0}%)",
@@ -168,14 +181,14 @@ fn main() {
             fresh_secs,
             shared_secs,
             speedup,
-            (runs as f64 * per_run_setup / fresh_secs).min(1.0) * 100.0
+            setup / total.max(1e-9) * 100.0
         );
 
         rows.push(Value::Map(vec![
             ("replicates".into(), Value::Num(Number::U(reps as u64))),
             ("runs".into(), Value::Num(Number::U(runs as u64))),
-            ("fresh".into(), path_value(fresh_secs, runs, runs as f64 * per_run_setup)),
-            ("shared".into(), path_value(shared_secs, runs, ctx_secs)),
+            ("fresh".into(), path_value(fresh_secs, &fresh)),
+            ("shared".into(), path_value(shared_secs, &shared)),
             ("speedup".into(), Value::Num(Number::F(speedup))),
             ("outputs_identical".into(), Value::Bool(same)),
         ]));
@@ -184,13 +197,17 @@ fn main() {
     let doc = Value::Map(vec![
         ("benchmark".into(), Value::Str("ensemble_context".into())),
         ("smoke".into(), Value::Bool(smoke)),
+        ("available_parallelism".into(), Value::Num(Number::U(available_parallelism() as u64))),
         ("region".into(), Value::Str("DE".into())),
         ("persons".into(), Value::Num(Number::U(data.population.len() as u64))),
         ("edges".into(), Value::Num(Number::U(stats.edges as u64))),
         ("n_partitions".into(), Value::Num(Number::U(N_PARTITIONS as u64))),
         ("cells".into(), Value::Num(Number::U(design.cells.len() as u64))),
         ("days".into(), Value::Num(Number::U(days as u64))),
-        ("fresh_setup_secs_per_run".into(), Value::Num(Number::F(per_run_setup))),
+        (
+            "fresh_setup_secs_per_run".into(),
+            Value::Num(Number::F(fresh_setup_secs / fresh_runs.max(1) as f64)),
+        ),
         ("context_build_secs".into(), Value::Num(Number::F(ctx_secs))),
         ("by_replicates".into(), Value::Seq(rows)),
         ("max_speedup".into(), Value::Num(Number::F(max_speedup))),

@@ -66,6 +66,14 @@ pub fn run_covid_mode(
     sim.run()
 }
 
+/// The host's core count as the rayon shim sees it: the number of
+/// workers a top-level parallel call fans out to. Every `BENCH_*.json`
+/// records it, since timings from hosts with different counts do not
+/// compare.
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Format a byte count human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     let f = b as f64;

@@ -158,7 +158,9 @@ fn scan_sections(bytes: &[u8]) -> Result<(u32, Vec<SectionRef>), SnapshotError> 
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| SnapshotError::Torn("bad section count".into()))?;
 
-    let mut sections = Vec::with_capacity(n_sections);
+    // No capacity from the header: an absurd count must fail on the
+    // missing lines, not on the allocation.
+    let mut sections = Vec::new();
     for _ in 0..n_sections {
         let (line, after) = read_line(bytes, pos)?;
         let mut t = line.split(' ');
@@ -171,13 +173,13 @@ fn scan_sections(bytes: &[u8]) -> Result<(u32, Vec<SectionRef>), SnapshotError> 
             .next()
             .and_then(|x| u64::from_str_radix(x, 16).ok())
             .ok_or_else(|| SnapshotError::Torn(format!("bad checksum in section `{name}`")))?;
-        let payload = after..after + len;
         // `get` doubles as the bounds check: `None` when the payload
         // (or its trailing newline) runs past the end of the file.
-        if bytes.get(payload.end) != Some(&b'\n') {
+        let Some(end) = after.checked_add(len).filter(|&end| bytes.get(end) == Some(&b'\n')) else {
             return Err(SnapshotError::Torn(format!("section `{name}` truncated")));
-        }
-        pos = payload.end + 1;
+        };
+        let payload = after..end;
+        pos = end + 1;
         sections.push(SectionRef { name, payload, claimed_hash });
     }
     Ok((version, sections))
@@ -374,6 +376,7 @@ mod tests {
     use crate::interventions::InterventionSet;
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::{ActivityType, ContactNetwork};
+    use proptest::prelude::*;
 
     fn small_net(n: u32) -> ContactNetwork {
         let mut edges = Vec::new();
@@ -507,6 +510,99 @@ mod tests {
         // A later good write recovers the chain.
         chain.write(&snap);
         assert!(chain.load().is_ok());
+    }
+
+    /// One corruption of snapshot wire bytes. Offsets are taken modulo
+    /// the length of the bytes they apply to.
+    #[derive(Clone, Debug)]
+    enum Damage {
+        /// Keep only the first `at` bytes.
+        Truncate { at: u64 },
+        /// XOR single bits, as `(offset, bit)` pairs.
+        Flip { bits: Vec<(u64, u8)> },
+        /// The first `a_len` bytes of one snapshot, then another
+        /// snapshot's bytes from `b_from` on.
+        Splice { a_len: u64, b_from: u64 },
+    }
+
+    fn arb_damage() -> impl Strategy<Value = Damage> {
+        (0u8..3, any::<u64>(), any::<u64>(), prop::collection::vec((any::<u64>(), 0u8..8), 1..9))
+            .prop_map(|(kind, x, y, bits)| match kind {
+                0 => Damage::Truncate { at: x },
+                1 => Damage::Flip { bits },
+                _ => Damage::Splice { a_len: x, b_from: y },
+            })
+    }
+
+    fn damage(d: &Damage, a: &[u8], b: &[u8]) -> Vec<u8> {
+        let cut = |x: u64, bytes: &[u8]| (x % (bytes.len() as u64 + 1)) as usize;
+        match d {
+            Damage::Truncate { at } => a[..cut(*at, a)].to_vec(),
+            Damage::Flip { bits } => {
+                let mut out = a.to_vec();
+                for &(at, bit) in bits {
+                    out[(at % a.len() as u64) as usize] ^= 1 << bit;
+                }
+                out
+            }
+            Damage::Splice { a_len, b_from } => {
+                [&a[..cut(*a_len, a)], &b[cut(*b_from, b)..]].concat()
+            }
+        }
+    }
+
+    /// Re-checksum every section of `bytes` over its (damaged) payload,
+    /// so the damage gets past the checksums into the payload parsers.
+    /// Bytes whose section table no longer parses come back unchanged.
+    fn reseal(bytes: &[u8]) -> Vec<u8> {
+        let Ok(sections) = section_ranges(bytes) else {
+            return bytes.to_vec();
+        };
+        let header_end = bytes.iter().position(|&b| b == b'\n').expect("table parsed") + 1;
+        let mut out = bytes[..header_end].to_vec();
+        for (name, range) in sections {
+            let payload = &bytes[range];
+            out.extend_from_slice(
+                format!("{name} {} {:016x}\n", payload.len(), fnv1a(payload)).as_bytes(),
+            );
+            out.extend_from_slice(payload);
+            out.push(b'\n');
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `decode` is total on damaged wire bytes: truncated,
+        /// bit-flipped, or spliced from two snapshots, with the
+        /// checksums left stale or recomputed, it returns `Ok` or
+        /// `Err` and never panics.
+        #[test]
+        fn ckpt_decode_is_total_on_corrupted_bytes(d in arb_damage(), resealed in any::<bool>()) {
+            static WIRE: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
+            let (a, b) = WIRE.get_or_init(|| (snapshot_after(9).encode(), snapshot_after(4).encode()));
+            let mut bytes = damage(&d, a, b);
+            if resealed {
+                bytes = reseal(&bytes);
+            }
+            let decoded = std::panic::catch_unwind(|| SimSnapshot::decode(&bytes));
+            prop_assert!(decoded.is_ok(), "decode panicked on {d:?} (resealed: {resealed})");
+        }
+    }
+
+    /// Header numbers no real snapshot has (a section count or a
+    /// section length near `usize::MAX`) are structural damage, not an
+    /// allocation failure or an arithmetic overflow.
+    #[test]
+    fn ckpt_absurd_header_numbers_are_torn() {
+        let max = usize::MAX;
+        for bytes in [
+            format!("{MAGIC} v1 {max}\n"),
+            format!("{MAGIC} v1 1\nmeta {max} 0000000000000000\n{{}}\n"),
+        ] {
+            assert!(matches!(SimSnapshot::decode(bytes.as_bytes()), Err(SnapshotError::Torn(_))));
+        }
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! 2. **Scan phase** — partitions execute in parallel (rayon workers
 //!    standing in for MPI ranks; a partition owns all in-edges of its
 //!    nodes, so each worker reads shared last-tick state and writes only
-//!    its own event buffer). For every *candidate* node the scan either
-//!    fires a scheduled progression or, for susceptible nodes,
-//!    accumulates the Eq.-(1) propensities over active in-edges and
-//!    performs the Gillespie draw for whether an exposure occurs and
-//!    which contact caused it.
+//!    its own event buffer). That is a lone run's scan; a run made
+//!    inside an ensemble job already sits on a rayon worker, so its scan
+//!    runs serially there (the shim's one-level rule). For every
+//!    *candidate* node the scan either fires a scheduled progression
+//!    or, for susceptible nodes, accumulates the Eq.-(1) propensities
+//!    over active in-edges and performs the Gillespie draw for whether
+//!    an exposure occurs and which contact caused it.
 //! 3. **Apply phase** — events are applied serially in node order,
 //!    updating health states, counters, the transition log, the
 //!    frontier index, and the memory accounting.

@@ -9,14 +9,52 @@
 //! input is chunked across `available_parallelism()` workers, each
 //! worker maps its chunk, and results are concatenated in input order
 //! (the same ordering guarantee rayon's indexed collect gives).
+//!
+//! **One level of parallelism.** A call made from inside one of the
+//! shim's own workers runs inline, serially, on that worker: it sees a
+//! worker count of 1. Only a call from a non-worker thread (the main
+//! thread, a test thread) fans out. This is the no-oversubscription
+//! behaviour real rayon gives nested iterators, and it is what keeps an
+//! ensemble's jobs from spawning threads on every engine tick: the
+//! ensemble fans its jobs out over the cores, and each job's per-tick
+//! partition scan runs on the worker that owns the job. A lone run
+//! called from a non-worker thread, or a one-item outer call (which
+//! runs on the caller without spawning), still gets a parallel scan.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 
+thread_local! {
+    /// Set on every thread the shim spawns; never cleared, since a
+    /// worker thread ends with its chunk.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 fn worker_count(items: usize) -> usize {
-    if items <= 1 {
+    if items <= 1 || IN_WORKER.with(Cell::get) {
         return 1;
     }
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(items)
+}
+
+/// Run `work` on every chunk, one scoped worker thread per chunk, and
+/// return the per-chunk results in chunk order.
+fn fan_out<C: Send, R: Send>(
+    chunks: impl Iterator<Item = C>,
+    work: impl Fn(C) -> R + Sync,
+) -> Vec<R> {
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .map(|c| {
+                s.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
+                    work(c)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("rayon-shim worker panicked")).collect()
+    })
 }
 
 /// Borrowed parallel iterator over a slice.
@@ -73,26 +111,14 @@ impl<'a, T: Sync, I, F> ParSliceMapInit<'a, T, I, F> {
             let mut state = (self.init)();
             return self.slice.iter().map(|x| (self.f)(&mut state, x)).collect();
         }
-        let chunk = n.div_ceil(workers);
-        let init = &self.init;
-        let f = &self.f;
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .slice
-                .chunks(chunk)
-                .map(|c| {
-                    s.spawn(move || {
-                        let mut state = init();
-                        c.iter().map(|x| f(&mut state, x)).collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("rayon-shim worker panicked"));
-            }
-        });
-        parts.into_iter().flatten().collect()
+        let (init, f) = (&self.init, &self.f);
+        fan_out(self.slice.chunks(n.div_ceil(workers)), |c| {
+            let mut state = init();
+            c.iter().map(|x| f(&mut state, x)).collect::<Vec<R>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -108,20 +134,11 @@ impl<'a, T: Sync, F> ParSliceMap<'a, T, F> {
         if workers <= 1 {
             return self.slice.iter().map(&self.f).collect();
         }
-        let chunk = n.div_ceil(workers);
         let f = &self.f;
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .slice
-                .chunks(chunk)
-                .map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("rayon-shim worker panicked"));
-            }
-        });
-        parts.into_iter().flatten().collect()
+        fan_out(self.slice.chunks(n.div_ceil(workers)), |c| c.iter().map(f).collect::<Vec<R>>())
+            .into_iter()
+            .flatten()
+            .collect()
     }
 }
 
@@ -166,17 +183,10 @@ impl<T: Send, F> ParItemsMap<T, F> {
             chunks.push(std::mem::replace(&mut rest, tail));
         }
         chunks.push(rest);
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("rayon-shim worker panicked"));
-            }
-        });
-        parts.into_iter().flatten().collect()
+        fan_out(chunks.into_iter(), |c| c.into_iter().map(f).collect::<Vec<R>>())
+            .into_iter()
+            .flatten()
+            .collect()
     }
 }
 
@@ -205,24 +215,7 @@ impl<'a, T: Send> ParSliceMut<'a, T> {
             }
             return;
         }
-        let chunk = n.div_ceil(workers);
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .slice
-                .chunks_mut(chunk)
-                .map(|c| {
-                    s.spawn(move || {
-                        for x in c {
-                            f(x);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("rayon-shim worker panicked");
-            }
-        });
+        fan_out(self.slice.chunks_mut(n.div_ceil(workers)), |c| c.iter_mut().for_each(&f));
     }
 }
 
@@ -360,5 +353,115 @@ mod tests {
         assert!(none.is_empty());
         let one: Vec<u32> = vec![7u32].into_par_iter().map(|x| x + 1).collect();
         assert_eq!(one, vec![8]);
+    }
+
+    use std::thread::ThreadId;
+
+    #[derive(Clone, Copy, Debug)]
+    enum Adapter {
+        Map,
+        MapInit,
+        IntoMap,
+        ForEach,
+    }
+
+    const ADAPTERS: [Adapter; 4] =
+        [Adapter::Map, Adapter::MapInit, Adapter::IntoMap, Adapter::ForEach];
+
+    fn tid() -> ThreadId {
+        std::thread::current().id()
+    }
+
+    fn cores() -> usize {
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    }
+
+    /// `f(i)` for every `i` in `0..n` through one adapter, in output
+    /// order, each next to the id of the thread that computed it.
+    fn via<T: Send>(
+        adapter: Adapter,
+        n: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> Vec<(T, ThreadId)> {
+        let xs: Vec<usize> = (0..n).collect();
+        match adapter {
+            Adapter::Map => xs.par_iter().map(|&i| (f(i), tid())).collect(),
+            Adapter::MapInit => xs.par_iter().map_init(|| (), |_, &i| (f(i), tid())).collect(),
+            Adapter::IntoMap => xs.into_par_iter().map(|i| (f(i), tid())).collect(),
+            Adapter::ForEach => {
+                let mut slots: Vec<(usize, Option<(T, ThreadId)>)> =
+                    xs.into_iter().map(|i| (i, None)).collect();
+                slots.par_iter_mut().for_each(|(i, out)| *out = Some((f(*i), tid())));
+                slots.into_iter().map(|(_, out)| out.expect("every item visited")).collect()
+            }
+        }
+    }
+
+    fn distinct(ids: impl Iterator<Item = ThreadId>) -> usize {
+        ids.collect::<std::collections::HashSet<_>>().len()
+    }
+
+    /// A nested region: `via(outer, 4, ..)` whose every item makes a
+    /// 64-item `via(inner, ..)` call. Checks each nested call ran on
+    /// the thread of the outer item that made it, in input order.
+    fn nested_region(outer: Adapter, inner: Adapter) {
+        let here = tid();
+        let runs = via(outer, 4, |i| via(inner, 64, move |j| (i, j)));
+        assert_eq!(runs.len(), 4);
+        for (i, (nested, owner)) in runs.iter().enumerate() {
+            if cores() >= 2 {
+                assert_ne!(*owner, here, "{outer:?}: outer item {i} did not run on a worker");
+            }
+            let items: Vec<(usize, usize)> = nested.iter().map(|(x, _)| *x).collect();
+            assert_eq!(items, (0..64).map(|j| (i, j)).collect::<Vec<_>>(), "{inner:?} order");
+            assert!(
+                nested.iter().all(|(_, t)| t == owner),
+                "{inner:?} inside {outer:?} left the worker thread"
+            );
+        }
+    }
+
+    #[test]
+    fn call_inside_a_worker_runs_inline_on_that_worker() {
+        for outer in ADAPTERS {
+            for inner in ADAPTERS {
+                nested_region(outer, inner);
+            }
+        }
+    }
+
+    #[test]
+    fn one_item_outer_call_lets_its_nested_call_fan_out() {
+        let here = tid();
+        for outer in ADAPTERS {
+            for inner in ADAPTERS {
+                let runs = via(outer, 1, |_| via(inner, 64, |j| j));
+                let (nested, owner) = &runs[0];
+                assert_eq!(*owner, here, "{outer:?}: a 1-item call runs on the caller");
+                let items: Vec<usize> = nested.iter().map(|(x, _)| *x).collect();
+                assert_eq!(items, (0..64).collect::<Vec<_>>(), "{inner:?} order");
+                if cores() >= 2 {
+                    assert!(
+                        distinct(nested.iter().map(|(_, t)| *t)) > 1,
+                        "{inner:?} inside a 1-item {outer:?} did not fan out"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_level_call_fans_out_after_a_nested_region() {
+        for a in ADAPTERS {
+            nested_region(a, a);
+            let runs = via(a, 64, |j| j);
+            assert_eq!(
+                runs.iter().map(|(x, _)| *x).collect::<Vec<_>>(),
+                (0..64).collect::<Vec<_>>()
+            );
+            if cores() >= 2 {
+                assert!(distinct(runs.iter().map(|(_, t)| *t)) > 1, "{a:?} stayed serial");
+            }
+        }
     }
 }

@@ -131,9 +131,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 // ---- parser ----------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (real `serde_json`'s
+/// default recursion limit): deeper input is an error, not a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -167,8 +173,15 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("unexpected end of input"))? {
-            b'{' => self.parse_map(),
-            b'[' => self.parse_seq(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.parse_map() } else { self.parse_seq() };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.parse_string()?)),
             b't' => self.parse_keyword("true", Value::Bool(true)),
             b'f' => self.parse_keyword("false", Value::Bool(false)),
@@ -336,7 +349,7 @@ fn utf8_len(first: u8) -> usize {
 
 /// Parse a JSON string into a [`Value`].
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -396,5 +409,13 @@ mod tests {
         assert!(from_str::<u32>("not json").is_err());
         assert!(from_str::<u32>("12 trailing").is_err());
         assert!(from_str::<Vec<u32>>("[1,").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&ok).is_ok());
+        let deep = "[".repeat(1_000_000);
+        assert!(parse_value(&deep).unwrap_err().to_string().contains("nesting too deep"));
     }
 }
