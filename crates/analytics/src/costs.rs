@@ -1,4 +1,4 @@
-//! Medical-cost model (case study 1, [9]).
+//! Medical-cost model (case study 1, \[9\]).
 //!
 //! "The medical costs include costs incurred by COVID-19 patients for
 //! medical attention, hospitalization, ventilator support, etc. For

@@ -1,10 +1,10 @@
 //! Criterion: network partitioning cost (§VI: partitioning California
 //! costs more than a typical simulation run, which is why partitions
-//! are computed once and cached).
+//! are computed once per shared context).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epiflow_bench::{region, run_covid};
-use epiflow_epihiper::partition::{partition_network, Partitioning};
+use epiflow_epihiper::partition::partition_network;
 use epiflow_epihiper::InterventionSet;
 use epiflow_surveillance::RegionRegistry;
 
@@ -27,16 +27,6 @@ fn partition_cost(c: &mut Criterion) {
     group.finish();
 }
 
-fn cache_round_trip(c: &mut Criterion) {
-    let reg = RegionRegistry::new();
-    let data = region(&reg, "CA", 1000.0);
-    let plan = partition_network(&data.network, 64, 16);
-    let cached = plan.to_cache_string();
-    c.bench_function("partition_cache_parse", |b| {
-        b.iter(|| Partitioning::from_cache_string(&cached).unwrap());
-    });
-}
-
 /// The §VI claim in bench form: one partitioning vs one simulation run.
 fn partition_vs_run(c: &mut Criterion) {
     let reg = RegionRegistry::new();
@@ -52,5 +42,5 @@ fn partition_vs_run(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, partition_cost, cache_round_trip, partition_vs_run);
+criterion_group!(benches, partition_cost, partition_vs_run);
 criterion_main!(benches);

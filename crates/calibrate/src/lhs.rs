@@ -1,4 +1,4 @@
-//! Parameter spaces and Latin hypercube sampling (McKay et al. [35]).
+//! Parameter spaces and Latin hypercube sampling (McKay et al. \[35\]).
 //!
 //! The paper's case study 3: "We created a design of 100 configurations
 //! (prior) with the Latin hypercube sampling method."

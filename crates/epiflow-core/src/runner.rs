@@ -23,7 +23,6 @@ use epiflow_epihiper::{
 };
 use epiflow_surveillance::RegionId;
 use epiflow_synthpop::builder::RegionData;
-use epiflow_synthpop::ContactNetwork;
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -129,18 +128,18 @@ fn derive_attributes(data: &RegionData) -> (Vec<u8>, Vec<u16>) {
     (age_group, county)
 }
 
-/// The per-replicate [`SimConfig`].
+/// The per-replicate [`SimConfig`], partitioned as `ctx` is.
 fn cell_sim_config(
     cell: &CellConfig,
     seed: u64,
-    n_partitions: usize,
+    ctx: &SimContext,
     record_transitions: bool,
 ) -> SimConfig {
     SimConfig {
         ticks: cell.days,
         seed,
-        n_partitions,
-        epsilon: EPSILON,
+        n_partitions: ctx.n_partitions,
+        epsilon: ctx.epsilon,
         initial_infections: cell.initial_infections,
         record_transitions,
         ..Default::default()
@@ -193,7 +192,6 @@ fn summarize(
 /// state that can influence results.
 pub struct EnsembleRunner {
     region: RegionId,
-    n_partitions: usize,
     ctx: Arc<SimContext>,
 }
 
@@ -201,30 +199,13 @@ impl EnsembleRunner {
     /// Build the shared context for ⟨region, `n_partitions`⟩.
     pub fn new(data: &RegionData, n_partitions: usize) -> Self {
         let (age_group, county) = derive_attributes(data);
-        Self::from_parts(data.region, &data.network, age_group, county, n_partitions)
-    }
-
-    /// Build from raw parts (synthetic networks, benches, tests).
-    /// `age_group` and `county` must have one entry per node.
-    pub fn from_parts(
-        region: RegionId,
-        network: &ContactNetwork,
-        age_group: Vec<u8>,
-        county: Vec<u16>,
-        n_partitions: usize,
-    ) -> Self {
-        let ctx = Arc::new(SimContext::build(network, age_group, county, n_partitions, EPSILON));
-        EnsembleRunner { region, n_partitions, ctx }
+        let ctx = SimContext::build(&data.network, age_group, county, n_partitions, EPSILON);
+        EnsembleRunner { region: data.region, ctx: Arc::new(ctx) }
     }
 
     /// The shared context (e.g. for [`Simulation::resume_with_context`]).
     pub fn context(&self) -> &Arc<SimContext> {
         &self.ctx
-    }
-
-    /// The partition count the context was built for.
-    pub fn n_partitions(&self) -> usize {
-        self.n_partitions
     }
 
     /// Run one ⟨cell, replicate⟩ against the shared context.
@@ -258,7 +239,7 @@ impl EnsembleRunner {
             self.ctx.clone(),
             model,
             interventions,
-            cell_sim_config(cell, seed, self.n_partitions, record_transitions),
+            cell_sim_config(cell, seed, &self.ctx, record_transitions),
         );
         sim.install_scratch(std::mem::take(scratch));
         let result = sim.run();
@@ -475,9 +456,10 @@ mod tests {
         let baseline = runner.run_cell(&cell, 0, true, 5);
 
         let seed = replicate_seed(5, data.region, cell.cell, 0);
-        let interrupted_cfg = SimConfig { ticks: 17, ..cell_sim_config(&cell, seed, 2, true) };
+        let ctx = runner.context();
+        let interrupted_cfg = SimConfig { ticks: 17, ..cell_sim_config(&cell, seed, ctx, true) };
         let mut interrupted = Simulation::new_with_context(
-            runner.context().clone(),
+            ctx.clone(),
             configure_model(&cell),
             configure_interventions(&cell),
             interrupted_cfg,
@@ -485,10 +467,10 @@ mod tests {
         interrupted.run();
         let snap = interrupted.snapshot();
         let mut resumed = Simulation::resume_with_context(
-            runner.context().clone(),
+            ctx.clone(),
             configure_model(&cell),
             configure_interventions(&cell),
-            cell_sim_config(&cell, seed, 2, true),
+            cell_sim_config(&cell, seed, ctx, true),
             &snap,
         )
         .expect("context-backed snapshot resumes");

@@ -4,8 +4,9 @@
 //!
 //! A [`SimSnapshot`] captures everything a [`crate::Simulation`] needs
 //! to resume byte-identically: the authoritative [`SimState`], the
-//! [`TickBuckets`](crate::frontier::TickBuckets) progression queues in
-//! a partition-agnostic form, intervention trigger state, and the
+//! entries of the [`TickBuckets`](crate::frontier::TickBuckets)
+//! progression queue (which holds no partition layout, so a snapshot
+//! resumes at any partition count), intervention trigger state, and the
 //! mid-run continuation ([`RunCarry`]: output series, last tick's
 //! transitions, cumulative counts, telemetry). Deliberately *absent*:
 //!
@@ -77,7 +78,7 @@ pub struct SimSnapshot {
     /// The authoritative mutable state (health, schedules, edge bits,
     /// flags, variables, memory-model counters).
     pub state: SimState,
-    /// Progression queues: `(tick, nodes)` sorted by tick, nodes sorted
+    /// Progression queue entries: `(tick, nodes)` sorted by tick, nodes sorted
     /// with duplicates preserved, independent of partition count.
     pub queues: Vec<(u32, Vec<u32>)>,
     /// Per-intervention `(name, trigger state)` in execution order.

@@ -222,8 +222,8 @@ impl RuntimeNet {
 /// per-replicate cost into a per-ensemble one.
 ///
 /// The partitioning lives here — keyed by the ⟨`n_partitions`, `epsilon`⟩
-/// it was built with — because partition boundaries determine the
-/// workspace layout, the bucket routing, and the per-partition
+/// it was built with — and only the scan reads it: partition boundaries
+/// determine the scan's workspace layout and its per-partition
 /// saturation decision. A context is therefore only valid for configs
 /// requesting the same partitioning; [`Simulation::new_with_context`]
 /// asserts this rather than silently diverging from a context built for
@@ -237,8 +237,6 @@ pub struct SimContext {
     pub net: RuntimeNet,
     /// Contiguous node ranges, one per partition.
     pub partitioning: Partitioning,
-    /// Dense node → partition map (apply-phase bucket routing).
-    pub part_of: Vec<u32>,
     /// Age-group index (0..5) per node.
     pub age_group: Vec<u8>,
     /// County index per node (for county-level aggregation).
@@ -266,18 +264,8 @@ impl SimContext {
         assert_eq!(county.len(), network.n_nodes, "county per node");
         let partitioning = partition_network(network, n_partitions, epsilon);
         let net = RuntimeNet::build(network);
-        let part_of = partitioning.index_map();
         let n_counties = county.iter().map(|&c| c as usize + 1).max().unwrap_or(1);
-        SimContext {
-            net,
-            partitioning,
-            part_of,
-            age_group,
-            county,
-            n_counties,
-            n_partitions,
-            epsilon,
-        }
+        SimContext { net, partitioning, age_group, county, n_counties, n_partitions, epsilon }
     }
 }
 
@@ -288,7 +276,10 @@ pub struct SimConfig {
     pub ticks: u32,
     /// Replicate seed.
     pub seed: u64,
-    /// Processing units (partitions / rayon workers).
+    /// Number of contiguous node ranges the scan is split into (see
+    /// [`crate::partition`]). A lone run scans them in parallel; a run
+    /// inside an ensemble job scans them serially on its worker.
+    /// Results do not depend on it.
     pub n_partitions: usize,
     /// Partitioning tolerance ε.
     pub epsilon: usize,
@@ -394,17 +385,13 @@ pub struct SimResult {
     pub stats: EngineStats,
 }
 
-/// Reusable per-partition scan state: the due-progression buffer, the
+/// Reusable per-partition scan state: the partition's node range, the
 /// event output buffer, and the Gillespie scratch. Owned by the
 /// simulation and handed to one worker per tick, so the hot loop
 /// allocates nothing.
 #[derive(Debug, Default)]
 struct Workspace {
-    part: usize,
     range: std::ops::Range<u32>,
-    /// Nodes whose scheduled progression may fire this tick (drained
-    /// from [`TickBuckets`]; sorted, deduped, possibly stale).
-    due: Vec<u32>,
     events: Vec<Event>,
     /// Per-qualifying-edge `(ρ, neighbor, to_state)` from the λ pass,
     /// reused by the Gillespie pick so the in-edge list is walked once.
@@ -412,17 +399,22 @@ struct Workspace {
     edges_scanned: u64,
 }
 
-/// Reusable run buffers: the per-partition [`Workspace`]s plus the
-/// per-tick aggregation rows. A fresh simulation starts with an empty
-/// scratch and grows it during the first ticks; an ensemble runner
-/// instead moves one scratch per worker from replicate to replicate
-/// ([`Simulation::install_scratch`] / [`Simulation::take_scratch`]), so
-/// steady-state ensemble throughput allocates nothing per run. Buffer
-/// *contents* never affect results — every buffer is cleared, re-sized,
-/// or re-pointed before use — only capacity is carried over.
+/// Reusable run buffers: the per-partition workspaces, the tick's due
+/// list, and the per-tick aggregation rows. A fresh simulation starts
+/// with an empty scratch and grows it during the first ticks; an
+/// ensemble runner instead moves one scratch per worker from replicate
+/// to replicate ([`Simulation::install_scratch`] /
+/// [`Simulation::take_scratch`]), so steady-state ensemble throughput
+/// allocates nothing per run. Buffer *contents* never affect results —
+/// every buffer is cleared, re-sized, or re-pointed before use — only
+/// capacity is carried over.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     workspaces: Vec<Workspace>,
+    /// Nodes whose scheduled progression may fire this tick: the
+    /// tick's bucket drained once (sorted, deduped, possibly stale).
+    /// Each partition's scan reads its own slice.
+    due: Vec<u32>,
     /// New-transition counts per state this tick.
     new_row: Vec<u32>,
     /// New-transition counts per (county, state) this tick.
@@ -441,8 +433,7 @@ impl SimScratch {
     /// different partitioning (or network) entirely.
     fn configure(&mut self, partitioning: &Partitioning) {
         self.workspaces.resize_with(partitioning.len(), Workspace::default);
-        for (k, (ws, r)) in self.workspaces.iter_mut().zip(&partitioning.ranges).enumerate() {
-            ws.part = k;
+        for (ws, r) in self.workspaces.iter_mut().zip(&partitioning.ranges) {
             ws.range = r.clone();
         }
     }
@@ -531,7 +522,7 @@ impl Simulation {
             via_state[t.via as usize] = true;
         }
 
-        let buckets = TickBuckets::new(ctx.partitioning.len());
+        let buckets = TickBuckets::new();
         let active = ActiveSet::new(ctx.net.n_nodes);
         let inf_nbr_count = vec![0u32; ctx.net.n_nodes];
 
@@ -557,29 +548,10 @@ impl Simulation {
         sim
     }
 
-    /// The shared immutable context.
+    /// The shared immutable context: network, partitioning and
+    /// per-node attributes.
     pub fn context(&self) -> &Arc<SimContext> {
         &self.ctx
-    }
-
-    /// The CSR runtime network.
-    pub fn net(&self) -> &RuntimeNet {
-        &self.ctx.net
-    }
-
-    /// The node partitioning.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.ctx.partitioning
-    }
-
-    /// Age-group index (0..5) per node.
-    pub fn age_group(&self) -> &[u8] {
-        &self.ctx.age_group
-    }
-
-    /// County index per node.
-    pub fn county(&self) -> &[u16] {
-        &self.ctx.county
     }
 
     /// Swap in a pooled [`SimScratch`] from a previous run (ensemble
@@ -645,11 +617,10 @@ impl Simulation {
     }
 
     /// Frontier-index overhead for the memory model: the neighbor
-    /// counts, the partition map, both bitset levels, and the queued
-    /// bucket entries.
+    /// counts, both bitset levels, and the queued bucket entries.
     fn frontier_memory_bytes(&self) -> u64 {
         let n = self.ctx.net.n_nodes;
-        ((self.inf_nbr_count.len() + self.ctx.part_of.len()) * 4
+        (self.inf_nbr_count.len() * 4
             + n.div_ceil(64) * 8
             + n.div_ceil(64).div_ceil(64) * 8
             + self.buckets.queued() * 8) as u64
@@ -703,7 +674,7 @@ impl Simulation {
             self.state.exit_tick[v as usize] = exit;
             self.state.next_state[v as usize] = next;
             if exit != NEVER {
-                self.buckets.push(self.ctx.part_of[v as usize] as usize, exit, v);
+                self.buckets.push(exit, v);
             }
             self.note_health_change(v, old, s);
             if self.config.record_transitions {
@@ -816,20 +787,22 @@ impl Simulation {
         });
     }
 
-    /// One partition's scan for tick `t`. Production builds always run
-    /// the frontier scan; the test build can route it to the oracle.
-    fn scan_partition(&self, ws: &mut Workspace, t: u32) {
+    /// One partition's scan for tick `t`, given the tick's whole sorted
+    /// due list. Production builds always run the frontier scan; the
+    /// test build can route it to the oracle.
+    fn scan_partition(&self, ws: &mut Workspace, due: &[u32], t: u32) {
         #[cfg(test)]
         if self.oracle_scan {
             return self.scan_partition_oracle(ws, t);
         }
-        self.scan_partition_frontier(ws, t);
+        self.scan_partition_frontier(ws, due, t);
     }
 
     /// The frontier scan: a two-pointer merge of the partition's due
-    /// progressions (sorted bucket drain) and its slice of the active
-    /// set, visited in ascending node order so events come out in
-    /// exactly the order a full-range sweep produces them.
+    /// progressions (its slice of the sorted due list, found by binary
+    /// search on its range) and its slice of the active set, visited in
+    /// ascending node order so events come out in exactly the order a
+    /// full-range sweep produces them.
     ///
     /// Equivalence to a full-range sweep, node by node:
     /// * due ∧ `exit_tick == t` — the progression branch, identical.
@@ -846,10 +819,10 @@ impl Simulation {
     /// abandoned for this tick and the partition sweeps its whole range
     /// through the same two per-node bodies, rather than paying bitset
     /// iteration for nearly every node.
-    fn scan_partition_frontier(&self, ws: &mut Workspace, t: u32) {
+    fn scan_partition_frontier(&self, ws: &mut Workspace, due: &[u32], t: u32) {
         let span = (ws.range.end - ws.range.start) as usize;
         let occupied = self.active.count_range(ws.range.start, ws.range.end);
-        let Workspace { range, due, events, scratch, edges_scanned, .. } = ws;
+        let Workspace { range, events, scratch, edges_scanned } = ws;
         // `occupied >= span * θ` in f64 is exact at the default θ = 3/4
         // for any realistic span, so this reproduces the historical
         // integer `occupied·4 ≥ span·3` switch bit for bit.
@@ -867,6 +840,8 @@ impl Simulation {
             return;
         }
 
+        let due = &due
+            [due.partition_point(|&v| v < range.start)..due.partition_point(|&v| v < range.end)];
         let mut di = 0usize;
         let mut act = self.active.iter_range(range.start, range.end);
         let mut next_act = act.next();
@@ -908,11 +883,12 @@ impl Simulation {
         }
     }
 
-    /// Run the simulation from [`Simulation::start_tick`] (0 for a
-    /// fresh simulation) to `config.ticks`. A fresh run seeds at tick
-    /// 0; a resumed run continues the carried output series instead, so
-    /// an interrupted-and-resumed simulation produces byte-identical
-    /// results to an uninterrupted one.
+    /// Run the simulation from its start tick (0 for a fresh
+    /// simulation, the snapshot's next tick after
+    /// [`Simulation::resume_with_context`]) to `config.ticks`. A fresh
+    /// run seeds at tick 0; a resumed run continues the carried output
+    /// series instead, so an interrupted-and-resumed simulation produces
+    /// byte-identical results to an uninterrupted one.
     pub fn run(&mut self) -> SimResult {
         let ns = self.model.n_states();
         let first_tick = self.start_tick;
@@ -947,6 +923,7 @@ impl Simulation {
         // and deterministically re-shaped so a scratch pooled from a
         // different run (or region) yields identical bytes.
         self.scratch.configure(&self.ctx.partitioning);
+        let mut due = std::mem::take(&mut self.scratch.due);
         let mut new_row = std::mem::take(&mut self.scratch.new_row);
         new_row.clear();
         new_row.resize(ns, 0);
@@ -983,16 +960,17 @@ impl Simulation {
                 }
             }
 
-            // 2. Parallel scan into the per-partition workspaces.
+            // 2. Parallel scan into the per-partition workspaces, each
+            //    reading its slice of the tick's one due list.
             let mut wss = std::mem::take(&mut self.scratch.workspaces);
             for ws in &mut wss {
                 ws.events.clear();
                 ws.edges_scanned = 0;
-                self.buckets.take_into(ws.part, t, &mut ws.due);
             }
+            self.buckets.take_into(t, &mut due);
             stats.frontier_nodes.push(self.active.len() as u32);
-            stats.due_nodes.push(wss.iter().map(|w| w.due.len() as u32).sum());
-            wss.par_iter_mut().for_each(|ws| self.scan_partition(ws, t));
+            stats.due_nodes.push(due.len() as u32);
+            wss.par_iter_mut().for_each(|ws| self.scan_partition(ws, &due, t));
             stats.edges_scanned.push(wss.iter().map(|w| w.edges_scanned).sum());
 
             // 3. Serial apply, in node order (ranges are sorted).
@@ -1008,7 +986,7 @@ impl Simulation {
                     self.state.exit_tick[vi] = ev.exit_tick;
                     self.state.next_state[vi] = ev.next_state;
                     if ev.exit_tick != NEVER {
-                        self.buckets.push(self.ctx.part_of[vi] as usize, ev.exit_tick, ev.node);
+                        self.buckets.push(ev.exit_tick, ev.node);
                     }
                     self.note_health_change(ev.node, old, ev.new_state);
                     new_row[ev.new_state as usize] += 1;
@@ -1049,7 +1027,9 @@ impl Simulation {
             );
         }
 
-        // Return the aggregation rows to the scratch for the next run.
+        // Return the due list and aggregation rows to the scratch for
+        // the next run.
+        self.scratch.due = due;
         self.scratch.new_row = new_row;
         self.scratch.county_row = county_row;
 
@@ -1067,7 +1047,7 @@ impl Simulation {
 
     /// Capture a [`SimSnapshot`] of everything needed to resume this
     /// simulation byte-identically: the authoritative [`SimState`], the
-    /// progression queues (partition-agnostic form), intervention
+    /// progression queue's entries, intervention
     /// trigger state, and the mid-run continuation. The frontier index
     /// (`ActiveSet`, neighbor counts) and occupancy are deliberately
     /// *not* captured — they are derived data, rebuilt on restore by
@@ -1161,7 +1141,7 @@ impl Simulation {
         sim.state = snapshot.state.clone();
         for (tick, nodes) in &snapshot.queues {
             for &v in nodes {
-                sim.buckets.push(sim.ctx.part_of[v as usize] as usize, *tick, v);
+                sim.buckets.push(*tick, v);
             }
         }
         sim.interventions

@@ -10,13 +10,13 @@
 //!   skips empty 64-word blocks (4096 nodes) via a summary level, so a
 //!   tick with a tiny epidemic touches a few cache lines instead of
 //!   every node.
-//! * [`TickBuckets`] — per-partition queues of scheduled progressions,
-//!   keyed by the tick at which they fire. The engine pushes a node
-//!   whenever it schedules an `exit_tick`, and drains bucket `t` at
-//!   tick `t`, replacing the former `exit_tick[v] == t` sweep over all
-//!   nodes. Entries may be stale (a node re-scheduled after the push)
-//!   or duplicated (re-scheduled onto the same tick); the engine
-//!   sorts, dedups, and re-checks `exit_tick == t` before firing.
+//! * [`TickBuckets`] — one queue of scheduled progressions, keyed by
+//!   the tick at which they fire. The engine pushes a node whenever it
+//!   schedules an `exit_tick`, and drains bucket `t` once at tick `t`,
+//!   replacing the former `exit_tick[v] == t` sweep over all nodes.
+//!   Entries may be stale (a node re-scheduled after the push) or
+//!   duplicated (re-scheduled onto the same tick); the engine sorts,
+//!   dedups, and re-checks `exit_tick == t` before firing.
 //!
 //! Both structures are *indexes over* the authoritative per-node state
 //! (`SimState::health`, `SimState::exit_tick`); they never hold
@@ -230,35 +230,37 @@ impl Iterator for ActiveRangeIter<'_> {
     }
 }
 
-/// Per-partition queues of scheduled progressions keyed by firing tick.
+/// The queue of scheduled progressions, keyed by firing tick.
 ///
 /// Push order is whatever order the apply phase runs in; the drain
 /// sorts and dedups so the scan emits events in node order, matching
-/// the reference full-range sweep byte for byte.
+/// the reference full-range sweep byte for byte. The queue knows
+/// nothing of partitions: the run loop drains a tick once and each
+/// partition's scan reads its own slice of the sorted list.
 #[derive(Clone, Debug, Default)]
 pub struct TickBuckets {
-    parts: Vec<HashMap<u32, Vec<u32>>>,
+    buckets: HashMap<u32, Vec<u32>>,
     queued: usize,
 }
 
 impl TickBuckets {
-    /// Empty queues for `n_partitions` partitions.
-    pub fn new(n_partitions: usize) -> Self {
-        TickBuckets { parts: vec![HashMap::new(); n_partitions], queued: 0 }
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Schedule `node` (owned by `part`) to be checked at `tick`.
+    /// Schedule `node` to be checked at `tick`.
     #[inline]
-    pub fn push(&mut self, part: usize, tick: u32, node: u32) {
-        self.parts[part].entry(tick).or_default().push(node);
+    pub fn push(&mut self, tick: u32, node: u32) {
+        self.buckets.entry(tick).or_default().push(node);
         self.queued += 1;
     }
 
-    /// Drain partition `part`'s bucket for `tick` into `out`, sorted
-    /// and deduped. `out` is cleared first (buffer reuse).
-    pub fn take_into(&mut self, part: usize, tick: u32, out: &mut Vec<u32>) {
+    /// Drain the bucket for `tick` into `out`, sorted and deduped.
+    /// `out` is cleared first (buffer reuse).
+    pub fn take_into(&mut self, tick: u32, out: &mut Vec<u32>) {
         out.clear();
-        if let Some(nodes) = self.parts[part].remove(&tick) {
+        if let Some(nodes) = self.buckets.remove(&tick) {
             self.queued -= nodes.len();
             out.extend(nodes);
             out.sort_unstable();
@@ -272,28 +274,24 @@ impl TickBuckets {
         self.queued
     }
 
-    /// Flatten the queues into a partition-agnostic, deterministic
-    /// form: `(tick, nodes)` pairs sorted by tick, nodes sorted within
-    /// each tick with duplicates *preserved*. Duplicates matter only
-    /// for [`TickBuckets::queued`] (the memory model counts them), not
-    /// for the events the drain emits (it dedups) — so re-pushing an
-    /// exported list through each node's owning partition reproduces
-    /// byte-identical behaviour at any partition count.
+    /// The queue in a deterministic form: `(tick, nodes)` pairs sorted
+    /// by tick, nodes sorted within each tick with duplicates
+    /// *preserved*. Duplicates matter only for [`TickBuckets::queued`]
+    /// (the memory model counts them), not for the events the drain
+    /// emits (it dedups) — so re-pushing every exported entry
+    /// reproduces byte-identical behaviour.
     pub fn export_entries(&self) -> Vec<(u32, Vec<u32>)> {
-        let mut merged: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for part in &self.parts {
-            for (&tick, nodes) in part {
-                merged.entry(tick).or_default().extend_from_slice(nodes);
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(tick, mut nodes)| {
+        let mut entries: Vec<(u32, Vec<u32>)> = self
+            .buckets
+            .iter()
+            .map(|(&tick, nodes)| {
+                let mut nodes = nodes.clone();
                 nodes.sort_unstable();
                 (tick, nodes)
             })
-            .collect()
+            .collect();
+        entries.sort_unstable_by_key(|&(tick, _)| tick);
+        entries
     }
 }
 
@@ -385,46 +383,49 @@ mod tests {
 
     #[test]
     fn buckets_sort_dedup_and_drain() {
-        let mut b = TickBuckets::new(2);
-        b.push(0, 5, 9);
-        b.push(0, 5, 3);
-        b.push(0, 5, 9); // duplicate (re-scheduled onto the same tick)
-        b.push(1, 5, 7);
-        b.push(0, 6, 1);
+        let mut b = TickBuckets::new();
+        b.push(5, 9);
+        b.push(5, 3);
+        b.push(5, 9); // duplicate (re-scheduled onto the same tick)
+        b.push(5, 7);
+        b.push(6, 1);
         assert_eq!(b.queued(), 5);
         let mut out = vec![42]; // stale content must be cleared
-        b.take_into(0, 5, &mut out);
-        assert_eq!(out, vec![3, 9]);
-        b.take_into(0, 5, &mut out);
+        b.take_into(5, &mut out);
+        assert_eq!(out, vec![3, 7, 9]);
+        assert_eq!(b.queued(), 1);
+        b.take_into(5, &mut out);
         assert!(out.is_empty(), "bucket drains only once");
-        b.take_into(1, 5, &mut out);
-        assert_eq!(out, vec![7]);
-        b.take_into(0, 6, &mut out);
+        b.take_into(6, &mut out);
         assert_eq!(out, vec![1]);
         assert_eq!(b.queued(), 0);
     }
 
+    /// The exported queue carries no partition layout, so a snapshot
+    /// re-imports unchanged whatever partition count the resumed run
+    /// uses.
     #[test]
     fn ckpt_export_preserves_duplicates_across_partitions() {
-        let mut b = TickBuckets::new(3);
-        b.push(0, 5, 9);
-        b.push(0, 5, 9); // duplicate on the same tick
-        b.push(2, 5, 3);
-        b.push(1, 7, 4);
+        let mut b = TickBuckets::new();
+        b.push(5, 9);
+        b.push(5, 9); // duplicate on the same tick
+        b.push(5, 3);
+        b.push(7, 4);
         let exported = b.export_entries();
         assert_eq!(exported, vec![(5, vec![3, 9, 9]), (7, vec![4])]);
 
-        // Re-import into a different partition count: queued() (which
-        // the memory model reads) and drain results both survive.
-        let mut b2 = TickBuckets::new(1);
+        // Re-import: queued() (which the memory model reads) and drain
+        // results both survive.
+        let mut b2 = TickBuckets::new();
         for (tick, nodes) in &exported {
             for &v in nodes {
-                b2.push(0, *tick, v);
+                b2.push(*tick, v);
             }
         }
+        assert_eq!(b2.export_entries(), exported);
         assert_eq!(b2.queued(), b.queued());
         let mut out = Vec::new();
-        b2.take_into(0, 5, &mut out);
+        b2.take_into(5, &mut out);
         assert_eq!(out, vec![3, 9]);
     }
 }

@@ -24,8 +24,8 @@
 //!   per-(node, tick) counter-based RNG makes results *independent of
 //!   thread count*. The default scan is frontier-based: per-tick cost
 //!   follows the epidemic, not the network.
-//! * [`frontier`] — the active-set bitset and tick-bucket progression
-//!   queues behind the frontier scan.
+//! * [`frontier`] — the active-set bitset and the tick-bucket progression
+//!   queue behind the frontier scan.
 //! * [`checkpoint`] — tick-level checkpoint/restart: versioned,
 //!   per-section-checksummed snapshots with a two-slot A/B chain, so a
 //!   preempted run resumes byte-identically from its last snapshot.

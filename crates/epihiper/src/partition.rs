@@ -8,11 +8,14 @@
 //! a partition, continue to allocate nodes to that partition until the
 //! number of incoming edges is greater than a threshold (E/P + ε)" —
 //! because even it takes significant compute time at national scale
-//! (over an hour for California), and caches the result on disk.
+//! (over an hour for California), and caches the result on disk. Here
+//! it is computed once per shared `SimContext` and reused by every
+//! replicate run against that context.
 //!
 //! Because nodes are assigned in id order, partitions come out as
 //! contiguous node ranges, which is also the cache-friendliest layout
-//! for the tick loop.
+//! for the tick loop. The ranges are all the engine keeps: only its
+//! scan reads them, one range per workspace.
 
 use epiflow_synthpop::ContactNetwork;
 use std::ops::Range;
@@ -55,21 +58,6 @@ impl Partitioning {
         }
     }
 
-    /// Dense node → partition-index map. The engine's apply phase
-    /// pushes every scheduled progression into its owner's tick-bucket
-    /// queue; an O(1) array lookup there beats a binary search per
-    /// event ([`Partitioning::partition_of`]) on the hot path.
-    pub fn index_map(&self) -> Vec<u32> {
-        let n = self.ranges.last().map_or(0, |r| r.end) as usize;
-        let mut map = vec![0u32; n];
-        for (k, r) in self.ranges.iter().enumerate() {
-            for v in r.clone() {
-                map[v as usize] = k as u32;
-            }
-        }
-        map
-    }
-
     /// Load imbalance: max partition edge count over the mean.
     pub fn imbalance(&self) -> f64 {
         if self.edge_counts.is_empty() {
@@ -82,50 +70,6 @@ impl Partitioning {
         } else {
             max / mean
         }
-    }
-
-    /// Serialize to a compact text form for the on-disk cache.
-    pub fn to_cache_string(&self) -> String {
-        let mut s = String::new();
-        for (r, c) in self.ranges.iter().zip(&self.edge_counts) {
-            s.push_str(&format!("{} {} {}\n", r.start, r.end, c));
-        }
-        s
-    }
-
-    /// Parse a cache entry written by [`Partitioning::to_cache_string`].
-    pub fn from_cache_string(s: &str) -> Result<Partitioning, String> {
-        let mut ranges = Vec::new();
-        let mut edge_counts = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let mut next = |what: &str| -> Result<u64, String> {
-                it.next()
-                    .ok_or_else(|| format!("line {}: missing {what}", i + 1))?
-                    .parse()
-                    .map_err(|_| format!("line {}: bad {what}", i + 1))
-            };
-            let start = next("start")? as u32;
-            let end = next("end")? as u32;
-            let count = next("count")? as usize;
-            if end < start {
-                return Err(format!("line {}: inverted range", i + 1));
-            }
-            ranges.push(start..end);
-            edge_counts.push(count);
-        }
-        // Ranges must be contiguous from 0.
-        let mut expect = 0u32;
-        for r in &ranges {
-            if r.start != expect {
-                return Err(format!("ranges not contiguous at {}", r.start));
-            }
-            expect = r.end;
-        }
-        Ok(Partitioning { ranges, edge_counts })
     }
 }
 
@@ -252,17 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn index_map_agrees_with_partition_of() {
-        let net = path_network(237);
-        let p = partition_network(&net, 5, 0);
-        let map = p.index_map();
-        assert_eq!(map.len(), 237);
-        for v in 0..237u32 {
-            assert_eq!(map[v as usize] as usize, p.partition_of(v));
-        }
-    }
-
-    #[test]
     fn hub_skews_but_still_covers() {
         // Star: hub node 0 with 500 leaves. Hub's in-edges cannot be
         // split, so the first partition is heavy — the tolerance rule
@@ -281,22 +214,6 @@ mod tests {
         let tight = partition_network(&net, 10, 0);
         let loose = partition_network(&net, 10, 400);
         assert!(loose.len() <= tight.len());
-    }
-
-    #[test]
-    fn cache_round_trip() {
-        let net = path_network(256);
-        let p = partition_network(&net, 5, 0);
-        let s = p.to_cache_string();
-        let q = Partitioning::from_cache_string(&s).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn cache_rejects_gaps() {
-        assert!(Partitioning::from_cache_string("0 10 5\n12 20 3\n").is_err());
-        assert!(Partitioning::from_cache_string("0 10\n").is_err());
-        assert!(Partitioning::from_cache_string("5 2 1\n").is_err());
     }
 
     #[test]

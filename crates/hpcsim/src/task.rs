@@ -22,7 +22,7 @@ pub struct Task {
     /// Compute nodes required (whole-node allocation; 2/4/6 by region
     /// size category).
     pub nodes: usize,
-    /// Empirical mean runtime t(T[c,r]) in seconds.
+    /// Empirical mean runtime `t(T[c,r])` in seconds.
     pub est_secs: f64,
     /// Realized runtime for execution simulation.
     pub actual_secs: f64,

@@ -60,7 +60,7 @@ fn main() {
     println!(
         "Simulated 150 days in {:.3} s on {} partitions",
         result.elapsed.as_secs_f64(),
-        sim.partitioning().len()
+        sim.context().partitioning.len()
     );
 
     // 4. Inspect the outcome.

@@ -10,6 +10,7 @@ use epiflow::epihiper::interventions::{
     GenericIntervention, InterventionSet, Operation, StayAtHome, Target, Trigger,
 };
 use epiflow::epihiper::partition::partition_network;
+use epiflow::epihiper::TickBuckets;
 use epiflow::hpcsim::cluster::ClusterSpec;
 use epiflow::hpcsim::cluster::Site;
 use epiflow::hpcsim::coloring::{
@@ -21,8 +22,8 @@ use epiflow::hpcsim::task::WorkloadSpec;
 use epiflow::linalg::{cholesky, Mat};
 use epiflow::orchestrator::{
     sample_fault_plan, BreakerConfig, BreakerState, CampaignSpec, CircuitBreaker, CycleEnv, Dag,
-    DeadlinePolicy, Engine, EngineEvent, FailoverPolicy, FaultProfile, NightlySpec, RetryPolicy,
-    StepKind, StepSpec,
+    DeadlinePolicy, Engine, EngineEvent, FailoverPolicy, FaultProfile, Journal, NightlySpec,
+    RetryPolicy, StepKind, StepSpec,
 };
 use epiflow::surveillance::CaseSeries;
 use epiflow::surveillance::{RegionRegistry, Scale};
@@ -664,6 +665,140 @@ proptest! {
                 "context-backed resume diverged at tick {} on {} partitions", k, parts
             );
             prop_assert_eq!(&base_out.stats, &res_out.stats);
+        }
+    }
+}
+
+/// One operation on a progression queue: push `node` at `tick`, or
+/// drain `tick`.
+#[derive(Clone, Debug)]
+enum QueueOp {
+    Push { tick: u32, node: u32 },
+    Drain { tick: u32 },
+}
+
+/// Queue operations over few ticks and nodes, so duplicate entries and
+/// drains of non-empty buckets are common; pushes outnumber drains 3:1.
+fn arb_queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+    prop::collection::vec(
+        (0u8..4, 0u32..12, 0u32..40).prop_map(|(kind, tick, node)| match kind {
+            0 => QueueOp::Drain { tick },
+            _ => QueueOp::Push { tick, node },
+        }),
+        0..120,
+    )
+}
+
+/// One corruption of a journal's JSONL. Offsets are taken modulo the
+/// length of the text they apply to.
+#[derive(Clone, Debug)]
+enum JsonlDamage {
+    /// Keep the text up to the last char boundary at or before `at`.
+    Truncate { at: u64 },
+    /// XOR single bits of the bytes, as `(offset, bit)` pairs, then
+    /// decode the result lossily.
+    Flip { bits: Vec<(u64, u8)> },
+    /// The first `a_len` bytes of one journal, then another journal's
+    /// bytes from `b_from` on, decoded lossily.
+    Splice { a_len: u64, b_from: u64 },
+}
+
+fn arb_jsonl_damage() -> impl Strategy<Value = JsonlDamage> {
+    (0u8..3, any::<u64>(), any::<u64>(), prop::collection::vec((any::<u64>(), 0u8..8), 1..9))
+        .prop_map(|(kind, x, y, bits)| match kind {
+            0 => JsonlDamage::Truncate { at: x },
+            1 => JsonlDamage::Flip { bits },
+            _ => JsonlDamage::Splice { a_len: x, b_from: y },
+        })
+}
+
+fn damage_jsonl(d: &JsonlDamage, a: &str, b: &str) -> String {
+    let cut = |x: u64, s: &str| (x % (s.len() as u64 + 1)) as usize;
+    match d {
+        JsonlDamage::Truncate { at } => {
+            let mut end = cut(*at, a);
+            while !a.is_char_boundary(end) {
+                end -= 1;
+            }
+            a[..end].to_string()
+        }
+        JsonlDamage::Flip { bits } => {
+            let mut bytes = a.as_bytes().to_vec();
+            for &(at, bit) in bits {
+                bytes[(at % a.len() as u64) as usize] ^= 1 << bit;
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        JsonlDamage::Splice { a_len, b_from } => {
+            let bytes =
+                [&a.as_bytes()[..cut(*a_len, a)], &b.as_bytes()[cut(*b_from, b)..]].concat();
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The progression queue's snapshot form round-trips: re-pushing
+    /// every exported entry into a fresh queue gives the same export,
+    /// the same entry count, and the same drain at every tick, whatever
+    /// mix of duplicate pushes and drains came before.
+    #[test]
+    fn ckpt_bucket_export_round_trip(ops in arb_queue_ops()) {
+        let mut live = TickBuckets::new();
+        let mut out = Vec::new();
+        for op in &ops {
+            match *op {
+                QueueOp::Push { tick, node } => live.push(tick, node),
+                QueueOp::Drain { tick } => live.take_into(tick, &mut out),
+            }
+        }
+        let exported = live.export_entries();
+        let mut restored = TickBuckets::new();
+        for (tick, nodes) in &exported {
+            for &v in nodes {
+                restored.push(*tick, v);
+            }
+        }
+        prop_assert_eq!(&restored.export_entries(), &exported);
+        prop_assert_eq!(restored.queued(), live.queued());
+        let mut expect = Vec::new();
+        for tick in 0..12 {
+            live.take_into(tick, &mut expect);
+            restored.take_into(tick, &mut out);
+            prop_assert_eq!(&out, &expect, "tick {}", tick);
+        }
+        prop_assert_eq!(restored.queued(), 0);
+    }
+
+    /// The journal decoders are total on damaged JSONL from real
+    /// nightly runs: truncated at a char boundary, bit-flipped, or
+    /// spliced from two journals, `from_jsonl` and `recover_jsonl`
+    /// return `Ok` or `Err` and never panic. A pure truncation is what
+    /// a crash mid-append leaves behind, so recovery must succeed on it
+    /// with a prefix of the original entries.
+    #[test]
+    fn journal_decoders_are_total_on_corrupted_jsonl(d in arb_jsonl_damage()) {
+        static JOURNALS: std::sync::OnceLock<(Journal, String, String)> =
+            std::sync::OnceLock::new();
+        let (full, a, b) = JOURNALS.get_or_init(|| {
+            let a = failover_engine(3, 1, 0.6).run().journal;
+            let b = failover_engine(8, 2, 0.3).run().journal;
+            let (a_text, b_text) = (a.to_jsonl(), b.to_jsonl());
+            (a, a_text, b_text)
+        });
+        let text = damage_jsonl(&d, a, b);
+        let strict = std::panic::catch_unwind(|| Journal::from_jsonl(&text).is_ok());
+        prop_assert!(strict.is_ok(), "from_jsonl panicked on {:?}", d);
+        let recovered = std::panic::catch_unwind(|| Journal::recover_jsonl(&text));
+        prop_assert!(recovered.is_ok(), "recover_jsonl panicked on {:?}", d);
+        if let (JsonlDamage::Truncate { .. }, Ok(result)) = (&d, recovered) {
+            let (journal, _) = result.expect("a truncated journal recovers");
+            prop_assert!(
+                full.entries.starts_with(&journal.entries),
+                "recovered entries are not a prefix of the original's"
+            );
         }
     }
 }
