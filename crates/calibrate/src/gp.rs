@@ -18,6 +18,7 @@
 use epiflow_linalg::{cholesky_jitter, Cholesky, Mat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::rc::Rc;
 
 /// Hyperparameters of one GP.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,16 +46,23 @@ pub struct GpModel {
     y_scale: f64,
 }
 
-/// GPMSA correlation: ∏_k ρ_k^{4 (a_k − b_k)²}.
+/// One dimension's GPMSA correlation factor: ρ^{4 (a − b)²}.
+#[inline]
+fn dim_correlation(a: f64, b: f64, rho: f64) -> f64 {
+    let d = a - b;
+    rho.powf(4.0 * d * d)
+}
+
+/// GPMSA correlation: ∏_k ρ_k^{4 (a_k − b_k)²}, multiplied in order of `k`.
 fn correlation(a: &[f64], b: &[f64], rho: &[f64]) -> f64 {
     let mut c = 1.0;
     for ((x, y), r) in a.iter().zip(b).zip(rho) {
-        let d = x - y;
-        c *= r.powf(4.0 * d * d);
+        c *= dim_correlation(*x, *y, *r);
     }
     c
 }
 
+#[cfg(test)]
 fn build_cov(x: &Mat, h: &GpHyper) -> Mat {
     let n = x.nrows();
     let mut k = Mat::zeros(n, n);
@@ -69,11 +77,75 @@ fn build_cov(x: &Mat, h: &GpHyper) -> Mat {
     k
 }
 
-/// Log posterior (up to constants): Gaussian marginal likelihood plus
-/// the GPMSA priors — λ_w ~ Γ(5, 5), λ_n ~ Γ(3, 0.3), ρ_k ~ Beta(1, 0.1)
-/// (favoring ρ near 1, i.e. smooth response surfaces).
-fn log_posterior(x: &Mat, y: &[f64], h: &GpHyper) -> f64 {
-    let k = build_cov(x, h);
+/// The [`correlation`] of every design pair `i ≤ j` (row-major over the
+/// upper triangle) at one ρ, kept per dimension: `factors[k][p]` is pair
+/// `p`'s factor in dimension `k` and `product[p]` their product in order
+/// of `k`, starting from 1 as [`correlation`] does.
+///
+/// The MAP search moves one ρ_k, or only the precisions, at a time, so a
+/// candidate shares every dimension whose ρ_k is bitwise unchanged with
+/// the incumbent and recomputes only the rest; a precision-only move
+/// shares the product too.
+struct PairCorrelation {
+    n: usize,
+    rho: Vec<f64>,
+    factors: Vec<Rc<[f64]>>,
+    product: Rc<[f64]>,
+}
+
+impl PairCorrelation {
+    /// The correlation of design `x` at `rho`, taking from `base` every
+    /// dimension whose ρ_k it shares bitwise.
+    fn new(x: &Mat, rho: &[f64], base: Option<&PairCorrelation>) -> PairCorrelation {
+        let n = x.nrows();
+        let factors: Vec<Rc<[f64]>> = rho
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| match base {
+                Some(b) if b.rho[k].to_bits() == r.to_bits() => Rc::clone(&b.factors[k]),
+                _ => {
+                    let col = x.col(k);
+                    let pairs = col
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(i, &a)| col[i..].iter().map(move |&b| (a, b)));
+                    pairs.map(|(a, b)| dim_correlation(a, b, r)).collect()
+                }
+            })
+            .collect();
+        let product = match base {
+            Some(b) if factors.iter().zip(&b.factors).all(|(f, g)| Rc::ptr_eq(f, g)) => {
+                Rc::clone(&b.product)
+            }
+            _ => (0..n * (n + 1) / 2).map(|p| factors.iter().fold(1.0, |c, f| c * f[p])).collect(),
+        };
+        PairCorrelation { n, rho: rho.to_vec(), factors, product }
+    }
+
+    /// The covariance `K = R / λ_w + I / λ_n`, each entry formed as
+    /// `build_cov` forms it from [`correlation`].
+    fn cov(&self, lambda_w: f64, lambda_n: f64) -> Mat {
+        let n = self.n;
+        let mut k = Mat::zeros(n, n);
+        let mut pairs = self.product.iter();
+        for i in 0..n {
+            for (j, &r) in (i..n).zip(pairs.by_ref()) {
+                let c = r / lambda_w;
+                k[(i, j)] = c;
+                k[(j, i)] = c;
+            }
+            k[(i, i)] += 1.0 / lambda_n;
+        }
+        k
+    }
+}
+
+/// Log posterior (up to constants) of `h`, whose ρ `corr` holds:
+/// Gaussian marginal likelihood plus the GPMSA priors — λ_w ~ Γ(5, 5),
+/// λ_n ~ Γ(3, 0.3), ρ_k ~ Beta(1, 0.1) (favoring ρ near 1, i.e. smooth
+/// response surfaces).
+fn log_posterior(corr: &PairCorrelation, y: &[f64], h: &GpHyper) -> f64 {
+    let k = corr.cov(h.lambda_w, h.lambda_n);
     let Ok((chol, _)) = cholesky_jitter(&k, 1e-10, 8) else {
         return f64::NEG_INFINITY;
     };
@@ -104,7 +176,6 @@ impl GpModel {
     pub fn fit(x_unit: &[Vec<f64>], y: &[f64], seed: u64) -> GpModel {
         assert!(!x_unit.is_empty(), "gp fit: empty design");
         assert_eq!(x_unit.len(), y.len(), "gp fit: x/y length mismatch");
-        let n = x_unit.len();
         let d = x_unit[0].len();
         let x = Mat::from_rows(x_unit);
 
@@ -113,20 +184,28 @@ impl GpModel {
         let y_scale = epiflow_linalg::std_dev(y).max(1e-9);
         let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_scale).collect();
 
-        // MAP search: random restarts then coordinate polish.
+        // MAP search: random restarts then coordinate polish. Each
+        // candidate reuses the incumbent's correlation factors wherever
+        // its ρ_k is unchanged.
+        let score = |cand: &GpHyper, base: &PairCorrelation| {
+            let corr = PairCorrelation::new(&x, &cand.rho, Some(base));
+            (log_posterior(&corr, &ys, cand), corr)
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut best = GpHyper { rho: vec![0.5; d], lambda_w: 1.0, lambda_n: 1000.0 };
-        let mut best_lp = log_posterior(&x, &ys, &best);
+        let mut best_corr = PairCorrelation::new(&x, &best.rho, None);
+        let mut best_lp = log_posterior(&best_corr, &ys, &best);
         for _ in 0..60 {
             let cand = GpHyper {
                 rho: (0..d).map(|_| rng.random_range(0.05..0.999)).collect(),
                 lambda_w: rng.random_range(0.2..5.0),
                 lambda_n: 10f64.powf(rng.random_range(1.0..5.0)),
             };
-            let lp = log_posterior(&x, &ys, &cand);
+            let (lp, corr) = score(&cand, &best_corr);
             if lp > best_lp {
                 best_lp = lp;
                 best = cand;
+                best_corr = corr;
             }
         }
         // Coordinate polish: shrink step multiplicatively.
@@ -137,10 +216,11 @@ impl GpModel {
                 for dir in [-1.0, 1.0] {
                     let mut cand = best.clone();
                     cand.rho[k] = (cand.rho[k] + dir * step * 0.5).clamp(0.01, 0.999);
-                    let lp = log_posterior(&x, &ys, &cand);
+                    let (lp, corr) = score(&cand, &best_corr);
                     if lp > best_lp {
                         best_lp = lp;
                         best = cand;
+                        best_corr = corr;
                         improved = true;
                     }
                 }
@@ -157,10 +237,11 @@ impl GpModel {
                 } else {
                     cand.lambda_n = (cand.lambda_n * factor).clamp(1.0, 1e8);
                 }
-                let lp = log_posterior(&x, &ys, &cand);
+                let (lp, corr) = score(&cand, &best_corr);
                 if lp > best_lp {
                     best_lp = lp;
                     best = cand;
+                    best_corr = corr;
                     improved = true;
                 }
             }
@@ -172,10 +253,9 @@ impl GpModel {
             }
         }
 
-        let k = build_cov(&x, &best);
+        let k = best_corr.cov(best.lambda_w, best.lambda_n);
         let (chol, _) = cholesky_jitter(&k, 1e-10, 10).expect("covariance factorizes");
         let alpha = chol.solve(&ys);
-        let _ = n;
         GpModel { x, y: ys, hyper: best, chol, alpha, y_mean, y_scale }
     }
 
@@ -230,6 +310,53 @@ mod tests {
         let far = correlation(&[0.1, 0.2], &[0.9, 0.2], &rho);
         assert!(near > far);
         assert!(far > 0.0);
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The cached-factor covariance equals `build_cov` bit for bit along
+    /// a random walk of the moves the MAP search makes — fresh ρ, one
+    /// ρ_k, precisions only — and a move reuses every factor it can.
+    #[test]
+    fn cached_factors_build_the_same_covariance() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let d = 4;
+        let rows: Vec<Vec<f64>> =
+            (0..23).map(|_| (0..d).map(|_| rng.random_range(0.0..1.0)).collect()).collect();
+        let x = Mat::from_rows(&rows);
+        let mut h = GpHyper {
+            rho: (0..d).map(|_| rng.random_range(0.05..0.999)).collect(),
+            lambda_w: 1.7,
+            lambda_n: 300.0,
+        };
+        let mut corr = PairCorrelation::new(&x, &h.rho, None);
+        assert_eq!(bits(&corr.cov(h.lambda_w, h.lambda_n)), bits(&build_cov(&x, &h)));
+        for step in 0..300 {
+            let mut cand = h.clone();
+            match step % 3 {
+                0 => cand.rho = (0..d).map(|_| rng.random_range(0.01..0.999)).collect(),
+                1 => cand.rho[rng.random_range(0..d)] = rng.random_range(0.01..0.999),
+                _ => {
+                    cand.lambda_w = rng.random_range(1e-3..1e4);
+                    cand.lambda_n = rng.random_range(1.0..1e8);
+                }
+            }
+            let next = PairCorrelation::new(&x, &cand.rho, Some(&corr));
+            let cov = next.cov(cand.lambda_w, cand.lambda_n);
+            assert_eq!(bits(&cov), bits(&build_cov(&x, &cand)), "step {step}");
+            let shared = next.factors.iter().zip(&corr.factors).filter(|(a, b)| Rc::ptr_eq(a, b));
+            match step % 3 {
+                1 => assert_eq!(shared.count(), d - 1),
+                2 => assert!(Rc::ptr_eq(&next.product, &corr.product)),
+                _ => {}
+            }
+            if rng.random_range(0.0..1.0) < 0.5 {
+                h = cand;
+                corr = next;
+            }
+        }
     }
 
     #[test]

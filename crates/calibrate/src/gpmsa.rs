@@ -65,6 +65,9 @@ pub struct GpmsaCalibration<'a> {
     pub config: GpmsaConfig,
     /// Discrepancy basis D (T × p_δ).
     basis: Mat,
+    /// `D·Dᵀ` (T × T), formed once: it does not depend on θ or the
+    /// precisions.
+    basis_gram: Mat,
 }
 
 /// Build the discrepancy basis: normal kernels over the time axis.
@@ -81,6 +84,23 @@ fn discrepancy_basis(t_len: usize, sd: f64, spacing: f64) -> Mat {
     d
 }
 
+/// `D·Dᵀ` for a `T × p` basis `D`, each entry summed in ascending `k`.
+fn gram(d: &Mat) -> Mat {
+    let t = d.nrows();
+    let mut g = Mat::zeros(t, t);
+    for i in 0..t {
+        for j in i..t {
+            let mut s = 0.0;
+            for (a, b) in d.row(i).iter().zip(d.row(j)) {
+                s += a * b;
+            }
+            g[(i, j)] = s;
+            g[(j, i)] = s;
+        }
+    }
+    g
+}
+
 impl<'a> GpmsaCalibration<'a> {
     /// Set up a calibration of `emulator` against `observed` (same
     /// length as the emulator's output).
@@ -91,7 +111,8 @@ impl<'a> GpmsaCalibration<'a> {
             "observed series must match emulator output length"
         );
         let basis = discrepancy_basis(emulator.t_len, config.kernel_sd, config.kernel_spacing);
-        GpmsaCalibration { emulator, observed, config, basis }
+        let basis_gram = gram(&basis);
+        GpmsaCalibration { emulator, observed, config, basis, basis_gram }
     }
 
     /// Number of discrepancy basis functions p_δ.
@@ -112,14 +133,9 @@ impl<'a> GpmsaCalibration<'a> {
         for i in 0..t {
             sigma[(i, i)] = var[i] + 1.0 / lambda_eps;
         }
-        let p = self.basis.ncols();
         for i in 0..t {
             for j in i..t {
-                let mut s = 0.0;
-                for k in 0..p {
-                    s += self.basis[(i, k)] * self.basis[(j, k)];
-                }
-                let add = s / lambda_delta;
+                let add = self.basis_gram[(i, j)] / lambda_delta;
                 sigma[(i, j)] += add;
                 if i != j {
                     sigma[(j, i)] += add;

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, StandardNormal};
+use std::cmp::Ordering;
 
 /// Random-walk Metropolis configuration.
 #[derive(Clone, Debug)]
@@ -91,13 +92,16 @@ impl Chain {
         cov / (sd[a] * sd[b])
     }
 
-    /// The maximum-a-posteriori sample of the kept chain.
+    /// The maximum-a-posteriori sample of the kept chain, skipping
+    /// samples whose log posterior is NaN (or missing); `None` when no
+    /// sample is left. Among equal maxima the last one wins.
     pub fn map_sample(&self) -> Option<&Vec<f64>> {
-        self.log_posts
+        self.samples
             .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN log posterior"))
-            .map(|(i, _)| &self.samples[i])
+            .zip(&self.log_posts)
+            .filter(|(_, lp)| !lp.is_nan())
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
+            .map(|(s, _)| s)
     }
 
     /// Draw `n` samples (with replacement) from the kept chain — the
@@ -244,6 +248,22 @@ mod tests {
         }
         // And it should sit close to the true mode.
         assert!((map[0] - 0.6).abs() < 0.05 && (map[1] - 0.4).abs() < 0.05);
+    }
+
+    #[test]
+    fn map_sample_skips_nan_log_posteriors() {
+        let chain = |log_posts: Vec<f64>| Chain {
+            samples: (0..log_posts.len()).map(|i| vec![i as f64]).collect(),
+            log_posts,
+            acceptance: 0.5,
+            final_step: 0.1,
+        };
+        let c = chain(vec![-3.0, f64::NAN, -1.0, -2.0, f64::NAN]);
+        assert_eq!(c.map_sample(), Some(&vec![2.0]));
+        let c = chain(vec![f64::NAN, f64::NEG_INFINITY]);
+        assert_eq!(c.map_sample(), Some(&vec![1.0]));
+        assert_eq!(chain(vec![f64::NAN, f64::NAN]).map_sample(), None);
+        assert_eq!(chain(vec![]).map_sample(), None);
     }
 
     #[test]

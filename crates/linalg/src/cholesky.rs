@@ -8,6 +8,9 @@
 
 use crate::mat::Mat;
 
+#[cfg(test)]
+mod testkit;
+
 /// A lower-triangular Cholesky factor `L` with `L·Lᵀ = A`.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
@@ -40,30 +43,81 @@ impl std::error::Error for CholeskyError {}
 ///
 /// Only the lower triangle of `a` is read, so callers may pass matrices
 /// whose upper triangle is stale.
+///
+/// Every entry is `L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]`
+/// (square root instead of division on the diagonal), summed in ascending
+/// `k`. Rows are taken four at a time: for each finished column `j` left
+/// of the block, the four rows' sums are independent chains and run side
+/// by side, each still in ascending `k`, so no entry's operation order
+/// changes. The block's own 4×4 lower triangle and the last `n mod 4` rows
+/// use the plain one-entry-at-a-time loop. Pivots are checked in row
+/// order, so the first non-positive one is reported as before.
 pub fn cholesky(a: &Mat) -> Result<Cholesky, CholeskyError> {
     if a.nrows() != a.ncols() {
         return Err(CholeskyError::NotSquare);
     }
     let n = a.nrows();
     let mut l = Mat::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            // sum = A[i][j] - Σ_{k<j} L[i][k] L[j][k]
-            let mut sum = a[(i, j)];
-            for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)];
+    let ld = l.as_mut_slice();
+    let mut i = 0;
+    while i + 4 <= n {
+        let (done, block) = ld.split_at_mut(i * n);
+        let (r0, block) = block.split_at_mut(n);
+        let (r1, block) = block.split_at_mut(n);
+        let (r2, r3) = block.split_at_mut(n);
+        let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
+        for j in 0..i {
+            let lj = &done[j * n..j * n + j + 1];
+            let (mut s0, mut s1, mut s2, mut s3) = (a0[j], a1[j], a2[j], a3[j]);
+            for ((((&ljk, &x0), &x1), &x2), &x3) in
+                lj[..j].iter().zip(&r0[..j]).zip(&r1[..j]).zip(&r2[..j]).zip(&r3[..j])
+            {
+                s0 -= x0 * ljk;
+                s1 -= x1 * ljk;
+                s2 -= x2 * ljk;
+                s3 -= x3 * ljk;
             }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(CholeskyError::NotPositiveDefinite { pivot: i });
-                }
-                l[(i, j)] = sum.sqrt();
-            } else {
-                l[(i, j)] = sum / l[(j, j)];
-            }
+            let d = lj[j];
+            r0[j] = s0 / d;
+            r1[j] = s1 / d;
+            r2[j] = s2 / d;
+            r3[j] = s3 / d;
         }
+        for r in i..i + 4 {
+            factor_row(a, ld, r, i)?;
+        }
+        i += 4;
+    }
+    for r in i..n {
+        factor_row(a, ld, r, 0)?;
     }
     Ok(Cholesky { l })
+}
+
+/// Fill `L[i][from..=i]` of the row-major `n × n` factor `l`, one entry
+/// at a time; rows above `i` must be finished, and so must `L[i][..from]`.
+fn factor_row(a: &Mat, l: &mut [f64], i: usize, from: usize) -> Result<(), CholeskyError> {
+    let n = a.nrows();
+    let (done, rest) = l.split_at_mut(i * n);
+    let li = &mut rest[..n];
+    let ai = a.row(i);
+    for j in from..i {
+        let lj = &done[j * n..j * n + j + 1];
+        let mut sum = ai[j];
+        for (&x, &ljk) in li[..j].iter().zip(&lj[..j]) {
+            sum -= x * ljk;
+        }
+        li[j] = sum / lj[j];
+    }
+    let mut sum = ai[i];
+    for &x in &li[..i] {
+        sum -= x * x;
+    }
+    if sum <= 0.0 {
+        return Err(CholeskyError::NotPositiveDefinite { pivot: i });
+    }
+    li[i] = sum.sqrt();
+    Ok(())
 }
 
 /// Factor with escalating diagonal jitter: tries `A`, then
@@ -104,17 +158,44 @@ impl Cholesky {
     }
 
     /// Solve `L·y = b` (forward substitution).
+    ///
+    /// `y[i] = (b[i] − Σ_{k<i} L[i][k]·y[k]) / L[i][i]`, summed in
+    /// ascending `k`. As in [`cholesky`], four rows' sums over the solved
+    /// prefix run side by side and each is then finished on its own, so
+    /// every sum keeps its order.
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
         let n = self.l.nrows();
         assert_eq!(b.len(), n, "solve_lower: length mismatch");
         let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            let row = self.l.row(i);
-            for k in 0..i {
-                s -= row[k] * y[k];
+        let mut i = 0;
+        while i + 4 <= n {
+            let rows = [self.l.row(i), self.l.row(i + 1), self.l.row(i + 2), self.l.row(i + 3)];
+            let [r0, r1, r2, r3] = rows;
+            let mut s = [b[i], b[i + 1], b[i + 2], b[i + 3]];
+            for ((((&yk, &x0), &x1), &x2), &x3) in
+                y[..i].iter().zip(&r0[..i]).zip(&r1[..i]).zip(&r2[..i]).zip(&r3[..i])
+            {
+                s[0] -= x0 * yk;
+                s[1] -= x1 * yk;
+                s[2] -= x2 * yk;
+                s[3] -= x3 * yk;
             }
-            y[i] = s / row[i];
+            for (m, (row, mut sm)) in rows.into_iter().zip(s).enumerate() {
+                let r = i + m;
+                for (&x, &yk) in row[i..r].iter().zip(&y[i..r]) {
+                    sm -= x * yk;
+                }
+                y[r] = sm / row[r];
+            }
+            i += 4;
+        }
+        for r in i..n {
+            let row = self.l.row(r);
+            let mut s = b[r];
+            for (&x, &yk) in row[..r].iter().zip(&y[..r]) {
+                s -= x * yk;
+            }
+            y[r] = s / row[r];
         }
         y
     }

@@ -99,6 +99,12 @@ impl Mat {
         &self.data
     }
 
+    /// The flat row-major data, mutably.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
