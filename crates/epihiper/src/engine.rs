@@ -49,7 +49,6 @@ use crate::state::{SimState, NEVER};
 use epiflow_synthpop::ContactNetwork;
 use rand::{Rng, RngCore};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -327,7 +326,7 @@ struct Event {
 }
 
 /// Per-tick engine telemetry, one entry per tick.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
     /// Frontier size at scan time (nodes with ≥1 infectious-capable
     /// in-neighbor). Recorded in both scan modes.
@@ -366,7 +365,7 @@ impl EngineStats {
 /// previous tick's transitions (consumed by reactive interventions at
 /// the next tick), the cumulative transition count feeding the memory
 /// model, and the per-tick telemetry.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunCarry {
     pub output: SimOutput,
     pub recent: Vec<TransitionRecord>,
@@ -1019,11 +1018,11 @@ impl Simulation {
                 }
             }
             self.scratch.workspaces = wss;
+            // Saturating: the counters may come from a snapshot.
             output.memory_bytes.push(
-                self.ctx.net.static_memory_bytes()
-                    + self.state.dynamic_memory_bytes()
-                    + self.frontier_memory_bytes()
-                    + cum_transitions * 24,
+                (self.ctx.net.static_memory_bytes() + self.frontier_memory_bytes())
+                    .saturating_add(self.state.dynamic_memory_bytes())
+                    .saturating_add(cum_transitions.saturating_mul(24)),
             );
         }
 
@@ -1086,7 +1085,9 @@ impl Simulation {
     /// perturbing the epidemic. Mismatches that would silently corrupt
     /// the resume (different seed, node count, state count, edge count,
     /// or intervention stack) are rejected with
-    /// [`SnapshotError::Mismatch`].
+    /// [`SnapshotError::Mismatch`], and so is any snapshot content that
+    /// would index out of range during the run: a short column, a state
+    /// id past the model, a queued node past the network.
     pub fn resume_with_context(
         ctx: Arc<SimContext>,
         model: DiseaseModel,
@@ -1113,28 +1114,18 @@ impl Simulation {
             format!("state count: snapshot {} vs model {}", meta.n_states, model.n_states()),
         )?;
         check(
-            snapshot.state.n_nodes() == ctx.net.n_nodes,
-            format!(
-                "state arrays cover {} nodes, network has {}",
-                snapshot.state.n_nodes(),
-                ctx.net.n_nodes
-            ),
-        )?;
-        check(
-            snapshot.state.n_edges() == ctx.net.n_undirected,
-            format!(
-                "edge bits cover {} edges, network has {}",
-                snapshot.state.n_edges(),
-                ctx.net.n_undirected
-            ),
-        )?;
-        check(
             meta.next_tick <= config.ticks,
             format!("next tick {} is past the {}-tick horizon", meta.next_tick, config.ticks),
         )?;
         check(
             meta.record_transitions == config.record_transitions,
             "record_transitions differs between snapshot and config".to_string(),
+        )?;
+        snapshot.check_fits(
+            ctx.net.n_nodes,
+            ctx.net.n_undirected,
+            model.n_states(),
+            ctx.n_counties,
         )?;
 
         let mut sim = Simulation::new_with_context(ctx, model, interventions, config);

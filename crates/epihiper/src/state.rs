@@ -13,7 +13,6 @@
 
 use crate::disease::StateId;
 use epiflow_synthpop::ActivityType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Node flag bits.
@@ -33,11 +32,11 @@ pub const NEVER: u32 = u32::MAX;
 
 /// The full mutable simulation state.
 ///
-/// Serializable in full — including the private edge bits and the
+/// Captured in full — including the crate-private edge bits and the
 /// health epoch — because it is the authoritative half of a
 /// [`crate::checkpoint::SimSnapshot`]; everything the engine derives
 /// from it (frontier index, occupancy) is rebuilt on restore.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimState {
     /// Current health state per node.
     pub health: Vec<StateId>,
@@ -59,8 +58,8 @@ pub struct SimState {
     /// Bitmask of closed activity contexts (bit = `ActivityType::code`).
     pub closed_contexts: u8,
     /// Explicit per-undirected-edge enable bit (bit-packed).
-    edge_enabled: Vec<u64>,
-    n_edges: usize,
+    pub(crate) edge_enabled: Vec<u64>,
+    pub(crate) n_edges: usize,
     /// User-defined named variables (Table V `variable` rows).
     pub variables: HashMap<String, f64>,
     /// Cumulative count of scheduled system-state changes — the driver
@@ -71,7 +70,7 @@ pub struct SimState {
     /// rebuilds its frontier index and occupancy counters whenever it
     /// advances, so interventions that rewrite health states stay
     /// consistent with the frontier scan.
-    health_epoch: u64,
+    pub(crate) health_epoch: u64,
 }
 
 impl SimState {
@@ -98,12 +97,6 @@ impl SimState {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.health.len()
-    }
-
-    /// Number of undirected edges the enable bits cover (snapshot
-    /// restore validates this against the network being resumed onto).
-    pub fn n_edges(&self) -> usize {
-        self.n_edges
     }
 
     /// Write a node's health state from *outside* the engine's tick
@@ -260,8 +253,10 @@ impl SimState {
         let nodes = self.health.len() as u64 * per_node;
         let edges = (self.edge_enabled.len() * 8) as u64;
         // Each scheduled change costs bookkeeping in EpiHiper's action
-        // queues; 48 bytes approximates a queued action record.
-        nodes + edges + self.scheduled_changes * 48
+        // queues; 48 bytes approximates a queued action record. The
+        // counter may come from a snapshot, so the estimate saturates
+        // rather than overflows.
+        (nodes + edges).saturating_add(self.scheduled_changes.saturating_mul(48))
     }
 }
 

@@ -411,6 +411,75 @@ mod tests {
         assert!(from_str::<Vec<u32>>("[1,").is_err());
     }
 
+    /// JSON this workspace parses, as its writers produce it: a
+    /// snapshot's `meta` and `interventions` sections (one name needing
+    /// escapes), an intervention's trigger state, and orchestrator
+    /// journal records.
+    const REAL: [&str; 6] = [
+        r#"{"version":2,"next_tick":20,"seed":3,"n_nodes":49,"n_states":15,"record_transitions":true}"#,
+        r#"[["isolate_symptomatic","{\"fired\":true,\"pending\":[20,21,22]}"],["stay_home",null],["tab\tand\u0001bell",null]]"#,
+        r#"{"fired":true,"pending":[20,21,22]}"#,
+        concat!(
+            r#"{"step":1,"attempts":1,"wasted_secs":0.0,"event":{"label":"Globus: configs home → remote","#,
+            r#""site":"Home","start_secs":7200.0,"duration_secs":30.408,"automated":false},"effect":"#,
+            r#"{"type":"transfer","transfer":{"from":"Home","to":"Remote","bytes":102000000,"#,
+            r#""label":"daily configs","start_secs":7200.0,"duration_secs":30.408}},"calls":[],"#,
+            r#""failover":null,"hedges":0,"reroutes":0,"snapshots":[]}"#,
+        ),
+        concat!(
+            r#"{"step":4,"attempts":2,"wasted_secs":12.5,"event":{"label":"post-simulation aggregation","#,
+            r#""site":"Remote","start_secs":8400.057324576843,"duration_secs":60.0,"automated":true},"#,
+            r#""effect":{"type":"collect","agg_secs":60.0},"calls":[],"failover":"Home","hedges":1,"#,
+            r#""reroutes":0,"snapshots":[{"task":0,"tick":16},{"task":4,"tick":32}]}"#,
+        ),
+        "{\n  \"version\": 2,\n  \"next_tick\": 0,\n  \"seed\": 18446744073709551615,\n  \"n_nodes\": 0,\n  \"n_states\": 3,\n  \"record_transitions\": false\n}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The parser is total: real JSON truncated, bit-flipped or
+        /// spliced from two documents gives `Ok` or `Err` and never
+        /// panics, whether parsed to a `Value` or to a typed target.
+        #[test]
+        fn from_str_is_total_on_damaged_json(
+            which in 0usize..6,
+            other in 0usize..6,
+            kind in 0u8..3,
+            x in proptest::prelude::any::<u64>(),
+            y in proptest::prelude::any::<u64>(),
+            bits in proptest::collection::vec((proptest::prelude::any::<u64>(), 0u8..8), 1..9),
+        ) {
+            let (a, b) = (REAL[which].as_bytes(), REAL[other].as_bytes());
+            let cut = |x: u64, s: &[u8]| (x % (s.len() as u64 + 1)) as usize;
+            let bytes = match kind {
+                0 => a[..cut(x, a)].to_vec(),
+                1 => {
+                    let mut out = a.to_vec();
+                    for &(at, bit) in &bits {
+                        out[(at % a.len() as u64) as usize] ^= 1 << bit;
+                    }
+                    out
+                }
+                _ => [&a[..cut(x, a)], &b[cut(y, b)..]].concat(),
+            };
+            // `from_str` takes a `&str`, so damage that breaks UTF-8 is
+            // repaired with replacement characters; the rest stays.
+            let text = String::from_utf8_lossy(&bytes);
+            let parsed = std::panic::catch_unwind(|| {
+                (parse_value(&text).is_ok(), from_str::<Vec<(String, Option<String>)>>(&text).is_ok())
+            });
+            proptest::prop_assert!(parsed.is_ok(), "parser panicked on {text:?}");
+        }
+    }
+
+    #[test]
+    fn real_samples_parse() {
+        for json in REAL {
+            assert!(parse_value(json).is_ok(), "{json}");
+        }
+    }
+
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
